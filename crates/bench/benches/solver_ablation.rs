@@ -1,9 +1,8 @@
 //! Ablation: the paper's naive round-robin fixed-point iteration (§5.2)
-//! vs our worklist solver vs SCC-condensation solvers (sequential and
-//! multi-threaded), on a family of random condensed programs of growing
-//! size. All compute the same least solution (property-tested in
-//! `tests/equivalence.rs`); they differ in how much re-evaluation and
-//! parallelism they exploit.
+//! vs our worklist solver vs the SCC-condensation solver, on a family of
+//! random condensed programs of growing size. All compute the same least
+//! solution (property-tested in `tests/equivalence.rs`); they differ in
+//! how much re-evaluation they do.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fx10_core::analysis::SolverKind;
@@ -46,15 +45,6 @@ fn bench_solvers(c: &mut Criterion) {
                     p,
                     Mode::ContextSensitive,
                     SolverKind::Scc,
-                ))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("scc_parallel4", nodes), &p, |b, p| {
-            b.iter(|| {
-                std::hint::black_box(analyze_condensed(
-                    p,
-                    Mode::ContextSensitive,
-                    SolverKind::SccParallel(4),
                 ))
             })
         });

@@ -23,9 +23,6 @@ pub enum SolverKind {
     Worklist,
     /// SCC-condensation level-2 solve (worklist for the set phases).
     Scc,
-    /// Multi-threaded SCC-condensation level-2 solve with the given
-    /// thread count (worklist for the set phases).
-    SccParallel(usize),
 }
 
 /// Counters matching the evaluation tables.
@@ -98,27 +95,14 @@ pub fn analyze_with(p: &Program, mode: Mode, solver: SolverKind) -> Analysis {
 /// Budget exhaustion in any phase stops that phase, tags the result
 /// ([`Analysis::exhausted`]) and *skips the remaining solver work* (the
 /// already-solved prefix is kept; unsolved variables stay empty), so the
-/// caller always gets a typed, partial answer. Cancellation and worker
-/// panics return `Err`.
+/// caller always gets a typed, partial answer. Cancellation returns
+/// `Err`.
 pub fn analyze_with_budget(
     p: &Program,
     mode: Mode,
     solver: SolverKind,
     budget: Budget,
     cancel: &CancelToken,
-) -> Result<Analysis, Fx10Error> {
-    analyze_with_faults(p, mode, solver, budget, cancel, &FaultPlan::none())
-}
-
-/// [`analyze_with_budget`] plus a [`FaultPlan`] for the parallel level-2
-/// solver — the entry point the fault-injection harness drives.
-pub fn analyze_with_faults(
-    p: &Program,
-    mode: Mode,
-    solver: SolverKind,
-    budget: Budget,
-    cancel: &CancelToken,
-    faults: &FaultPlan,
 ) -> Result<Analysis, Fx10Error> {
     let start = std::time::Instant::now();
     let mut meter = BudgetMeter::new(budget, cancel.clone());
@@ -149,19 +133,6 @@ pub fn analyze_with_faults(
         SolverKind::Naive => solve_pair_naive_budgeted(&l2sys, &mut meter)?,
         SolverKind::Worklist => solve_pair_worklist_budgeted(&l2sys, &mut meter)?,
         SolverKind::Scc => crate::scc::solve_pair_scc_budgeted(&l2sys, &mut meter)?,
-        SolverKind::SccParallel(t) => {
-            let sol = crate::scc::solve_pair_scc_parallel_budgeted(
-                &l2sys,
-                t,
-                meter.budget(),
-                cancel,
-                faults,
-            )?;
-            // Settle the crew's shared tick count with the meter; a trip
-            // here is already reflected in sol.exhausted.
-            let _ = meter.charge(sol.evals as u64);
-            sol
-        }
     };
     let millis = start.elapsed().as_secs_f64() * 1e3;
 

@@ -40,9 +40,9 @@ pub mod solver;
 pub mod typesystem;
 
 pub use analysis::{
-    analyze, analyze_ci, analyze_with, analyze_with_budget, analyze_with_fallback,
-    analyze_with_faults, Analysis, AnalysisPath, AnalysisStats, FallbackOutcome, LadderRung,
-    PruneReport, SolverKind, SoundnessReport, SupervisedAnswer, Supervisor,
+    analyze, analyze_ci, analyze_with, analyze_with_budget, analyze_with_fallback, Analysis,
+    AnalysisPath, AnalysisStats, FallbackOutcome, LadderRung, PruneReport, SolverKind,
+    SoundnessReport, SupervisedAnswer, Supervisor,
 };
 pub use gen::Mode;
 pub use index::{StmtId, StmtIndex, StmtKind};

@@ -8,26 +8,15 @@
 //! fixed points — each constraint is evaluated until *its component*
 //! stabilizes, never re-visited afterwards.
 //!
-//! Two variants:
-//! - [`solve_pair_scc`] — sequential, components in topological order;
-//! - [`solve_pair_scc_parallel`] — a work crew of scoped std threads over
-//!   the condensation DAG: a component becomes ready when all components
-//!   it depends on have published their values (`OnceLock` hand-off, no
-//!   locks on the hot path). Independent subtrees of the program solve
-//!   concurrently.
-//!
-//! Both produce the same least solution as the naive and worklist solvers
-//! (property-tested in `tests/equivalence.rs`), and both have `_budgeted`
-//! variants that honor a [`BudgetMeter`] / [`fx10_robust::Budget`],
-//! observe cancellation, and — in the parallel case — contain worker
-//! panics with `catch_unwind` and accept a [`FaultPlan`].
+//! [`solve_pair_scc`] produces the same least solution as the naive and
+//! worklist solvers (property-tested in `tests/equivalence.rs`), and
+//! [`solve_pair_scc_budgeted`] honors a [`BudgetMeter`] and observes
+//! cancellation.
 
 use crate::sets::PairSet;
 use crate::solver::{PairConstraint, PairSolution, PairSystem, PairTerm};
-use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, FaultPlan, Fx10Error, Stop};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use fx10_robust::{BudgetMeter, Exhaustion, Fx10Error, Stop};
+use std::sync::OnceLock;
 
 /// Iterative Tarjan SCC over the m-variable dependency graph.
 ///
@@ -96,18 +85,13 @@ fn tarjan(n_vars: usize, succs: &[Vec<u32>]) -> (Vec<u32>, Vec<Vec<u32>>) {
     (comp_of, comps)
 }
 
-/// The condensation of a [`PairSystem`]: per-variable component ids,
-/// components in dependency-first order, per-component constraints, and
-/// the condensation DAG edges.
+/// The condensation of a [`PairSystem`]: components in dependency-first
+/// order and their constraints.
 struct Condensation<'a> {
     /// Components in topological (dependency-first) order.
     comps: Vec<Vec<u32>>,
     /// Constraint indices per component (indexed like `comps`).
     comp_constraints: Vec<Vec<u32>>,
-    /// For each component, the components that depend on it.
-    dependents: Vec<Vec<u32>>,
-    /// Number of distinct dependency components per component.
-    indegree: Vec<usize>,
     sys: &'a PairSystem,
 }
 
@@ -139,26 +123,9 @@ fn condense(sys: &PairSystem) -> Condensation<'_> {
     for (ci, c) in sys.constraints.iter().enumerate() {
         comp_constraints[comp_of[c.lhs.index()] as usize].push(ci as u32);
     }
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n_comps];
-    let mut indegree = vec![0usize; n_comps];
-    let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-    for c in &sys.constraints {
-        let lc = comp_of[c.lhs.index()];
-        for t in &c.terms {
-            if let PairTerm::MVar(v) = t {
-                let vc = comp_of[v.index()];
-                if vc != lc && seen.insert((vc, lc)) {
-                    dependents[vc as usize].push(lc);
-                    indegree[lc as usize] += 1;
-                }
-            }
-        }
-    }
     Condensation {
         comps,
         comp_constraints,
-        dependents,
-        indegree,
         sys,
     }
 }
@@ -347,168 +314,6 @@ pub fn solve_pair_scc_budgeted(
     Ok(collect(sys, published, evals, exhausted))
 }
 
-/// Parallel SCC-condensation solver: a work crew drains the condensation
-/// DAG, starting each component once its dependencies have published.
-/// Infallible legacy entry point (no budget, no faults).
-pub fn solve_pair_scc_parallel(sys: &PairSystem, threads: usize) -> PairSolution {
-    solve_pair_scc_parallel_budgeted(
-        sys,
-        threads,
-        Budget::unlimited(),
-        &CancelToken::new(),
-        &FaultPlan::none(),
-    )
-    .unwrap_or_else(|_| PairSolution {
-        values: Vec::new(),
-        passes: 0,
-        evals: 0,
-        exhausted: Some(Exhaustion::SolverIterations),
-    })
-}
-
-/// Shared state of the parallel solve's work crew.
-struct SccCrew {
-    /// Ready components (all dependencies published).
-    ready: Mutex<Vec<u32>>,
-    /// Components fully solved.
-    done: AtomicUsize,
-    /// Total constraint evaluations across workers.
-    evals: AtomicU64,
-    /// First budget wall hit.
-    exhausted: Mutex<Option<Exhaustion>>,
-    /// Any stop condition: drain out.
-    stop_flag: AtomicBool,
-    /// Cancellation observed.
-    cancelled: AtomicBool,
-    /// First worker panic (index, message).
-    panic: Mutex<Option<(usize, String)>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// [`solve_pair_scc_parallel`] under a [`Budget`], [`CancelToken`] and
-/// [`FaultPlan`]. Worker panics are contained per worker and surface as
-/// [`Fx10Error::WorkerPanicked`]; the other workers drain out cleanly.
-pub fn solve_pair_scc_parallel_budgeted(
-    sys: &PairSystem,
-    threads: usize,
-    budget: Budget,
-    cancel: &CancelToken,
-    faults: &FaultPlan,
-) -> Result<PairSolution, Fx10Error> {
-    let threads = threads.max(1);
-    let cond = condense(sys);
-    let n_comps = cond.comps.len();
-    let published: Vec<OnceLock<PairSet>> = (0..sys.n_vars).map(|_| OnceLock::new()).collect();
-    if n_comps == 0 {
-        return Ok(collect(sys, published, 0, None));
-    }
-    let remaining_deps: Vec<AtomicUsize> =
-        cond.indegree.iter().map(|&d| AtomicUsize::new(d)).collect();
-    let crew = SccCrew {
-        ready: Mutex::new(
-            cond.indegree
-                .iter()
-                .enumerate()
-                .filter(|&(_, &d)| d == 0)
-                .map(|(cid, _)| cid as u32)
-                .collect(),
-        ),
-        done: AtomicUsize::new(0),
-        evals: AtomicU64::new(0),
-        exhausted: Mutex::new(None),
-        stop_flag: AtomicBool::new(false),
-        cancelled: AtomicBool::new(false),
-        panic: Mutex::new(None),
-    };
-
-    std::thread::scope(|scope| {
-        for worker_id in 0..threads {
-            let crew = &crew;
-            let cond = &cond;
-            let published = &published;
-            let remaining_deps = &remaining_deps;
-            scope.spawn(move || {
-                let mut solved = 0u64;
-                let result = catch_unwind(AssertUnwindSafe(|| loop {
-                    if crew.stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let next = lock(&crew.ready).pop();
-                    let Some(cid) = next else {
-                        if crew.done.load(Ordering::SeqCst) == n_comps {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    let cid = cid as usize;
-                    solved += 1;
-                    if faults.should_panic(worker_id, solved) {
-                        panic!(
-                            "injected fault: scc worker {worker_id} after {solved} component(s)"
-                        );
-                    }
-                    let mut on_eval = || {
-                        let n = crew.evals.fetch_add(1, Ordering::Relaxed) + 1;
-                        if budget.max_iters.is_some_and(|cap| n > cap) {
-                            return Err(Stop::Exhausted(Exhaustion::SolverIterations));
-                        }
-                        if n.is_multiple_of(64) {
-                            if cancel.is_cancelled() {
-                                return Err(Stop::Cancelled);
-                            }
-                            if budget.deadline_exceeded() {
-                                return Err(Stop::Exhausted(Exhaustion::Deadline));
-                            }
-                        }
-                        Ok(())
-                    };
-                    let (local, stop) = solve_component_metered(cond, cid, published, &mut on_eval);
-                    publish(cond, cid, local, published);
-                    match stop {
-                        None => {}
-                        Some(Stop::Exhausted(e)) => {
-                            lock(&crew.exhausted).get_or_insert(e);
-                            crew.stop_flag.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                        Some(Stop::Cancelled) => {
-                            crew.cancelled.store(true, Ordering::SeqCst);
-                            crew.stop_flag.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                    for &dep in &cond.dependents[cid] {
-                        if remaining_deps[dep as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            lock(&crew.ready).push(dep);
-                        }
-                    }
-                    crew.done.fetch_add(1, Ordering::SeqCst);
-                }));
-                if let Err(payload) = result {
-                    lock(&crew.panic).get_or_insert_with(|| {
-                        (worker_id, fx10_robust::panic_message(payload.as_ref()))
-                    });
-                    crew.stop_flag.store(true, Ordering::SeqCst);
-                }
-            });
-        }
-    });
-
-    if let Some((worker, message)) = lock(&crew.panic).take() {
-        return Err(Fx10Error::WorkerPanicked { worker, message });
-    }
-    if crew.cancelled.load(Ordering::SeqCst) || cancel.is_cancelled() {
-        return Err(Fx10Error::Cancelled);
-    }
-    let exhausted = *lock(&crew.exhausted);
-    let evals = crew.evals.load(Ordering::Relaxed) as usize;
-    Ok(collect(sys, published, evals, exhausted))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,13 +376,11 @@ mod tests {
     }
 
     #[test]
-    fn scc_solvers_match_naive() {
+    fn scc_solver_matches_naive() {
         let sys = chain_with_cycle();
         let naive = solve_pair_naive(&sys);
         let seq = solve_pair_scc(&sys);
-        let par = solve_pair_scc_parallel(&sys, 4);
         assert_eq!(naive.values, seq.values);
-        assert_eq!(naive.values, par.values);
         // The cycle propagated the symcross both ways and up to m0.
         assert!(seq.get(PairVar(0)).contains(Label(1), Label(3)));
         assert!(seq.get(PairVar(1)).contains(Label(2), Label(3)));
@@ -608,7 +411,5 @@ mod tests {
         };
         let seq = solve_pair_scc(&sys);
         assert!(seq.get(PairVar(0)).contains(Label(0), Label(1)));
-        let par = solve_pair_scc_parallel(&sys, 4);
-        assert_eq!(seq.values, par.values);
     }
 }

@@ -8,7 +8,6 @@
 //! fx10 explore <file.fx10> [--max-states N] [--jobs N]   exhaustive dynamic MHP
 //!              [--checkpoint F [--checkpoint-every N]] [--resume F]
 //!              [--shards N [--digest-xor]]          multi-process sharded exploration
-//!              [--listen HOST:PORT [--secret-file F] [--reconnects N]]  socket transport
 //! fx10 mhp     <file.fx10> [--ci]             static MHP pairs
 //! fx10 race    <file.fx10>                    MHP-based race report
 //! fx10 lint    <file.fx10> [--format text|json|sarif] [--deny CODE] [--allow CODE]
@@ -63,15 +62,6 @@
 //! the commands that explore (`explore`, `check`); anywhere else they
 //! are a usage error (exit 2), never a silent no-op.
 //!
-//! **Network chaos.** With `--listen` (the socket transport for
-//! `explore --shards`), `FX10_NET_DROP=p[:seed]`, `FX10_NET_DUP=p[:seed]`,
-//! `FX10_NET_DELAY_MS=n` and `FX10_NET_PARTITION=slot:count` inject
-//! deterministic frame loss, duplication, delivery latency and one-way
-//! partitions into the supervisor side of every worker link. They follow
-//! the same contract as the other hooks — strict parsing, exploring
-//! commands only — and additionally require `--listen` (there is no
-//! network to break under the default pipe transport).
-//!
 //! Exit codes:
 //!
 //! | code | meaning |
@@ -116,9 +106,6 @@ fn usage() -> ExitCode {
            --resume <file>                              resume from a snapshot (explore)\n\
            --shards N                                   worker processes for sharded exploration (explore/check)\n\
            --digest-xor                                 print the visited-set digest (explore)\n\
-           --listen HOST:PORT                           socket transport for the shard fleet (explore)\n\
-           --secret-file <file>                         shared handshake secret for socket workers (explore)\n\
-           --reconnects N                               reconnect budget per connection drop (explore)\n\
            --ladder                                     supervised degradation ladder (check)\n\
            --format <text|json|sarif>                   lint report format (lint)\n\
            --deny <code>                                exit 1 on matching findings (lint)\n\
@@ -126,7 +113,7 @@ fn usage() -> ExitCode {
            --witness-states N                           witness search cap, 0 = off (lint)\n\
            --domain <const|interval|parity>             abstract domain (absint/lint/race)\n\
            --ci                                         context-insensitive analysis\n\
-           --solver <naive|worklist|scc|scc-par>        fixed-point algorithm\n\
+           --solver <naive|worklist|scc>                fixed-point algorithm\n\
            --places                                     same-place MHP refinement (x10)\n\
            --budget-states N                            distinct-state budget (exit 3 when cut)\n\
            --budget-iters N                             solver constraint-evaluation budget\n\
@@ -193,16 +180,6 @@ struct Opts {
     /// `FX10_SHARD_RESTARTS=N` — override the per-worker restart budget
     /// (0 forces immediate migration on the first death).
     shard_restarts: Option<u32>,
-    /// `--listen HOST:PORT` — run the shard fleet over loopback TCP
-    /// instead of stdio pipes (port 0 lets the OS pick).
-    listen: Option<std::net::SocketAddr>,
-    /// `--secret-file F` — shared secret authenticating socket workers.
-    secret_file: Option<PathBuf>,
-    /// `--reconnects N` — reconnect budget per connection drop.
-    reconnects: Option<u32>,
-    /// `FX10_NET_*` — deterministic network-fault injection on the
-    /// socket transport (drop/dup/delay/partition).
-    net_chaos: fx10_robust::conn::NetChaos,
     /// True when any of `--jobs`/`--schedule-seed`/`--grain` appeared on
     /// `run`: dispatch to the real work-stealing runtime instead of the
     /// semantics stepper.
@@ -296,10 +273,6 @@ impl Opts {
             collect: self.digest_xor,
             chaos_kill: self.shard_kill,
             chaos_wedge: self.shard_wedge,
-            listen: self.listen,
-            secret_file: self.secret_file.clone(),
-            reconnects: self.reconnects.unwrap_or(5),
-            net_chaos: self.net_chaos,
         })
     }
 }
@@ -400,10 +373,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
         shard_kill: None,
         shard_wedge: None,
         shard_restarts: None,
-        listen: None,
-        secret_file: None,
-        reconnects: None,
-        net_chaos: fx10_robust::conn::NetChaos::default(),
         use_runtime: false,
         schedule_seed: None,
         grain: 0,
@@ -581,35 +550,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
                 }
                 o.shards = Some(n);
             }
-            "--listen" => {
-                i += 1;
-                let v = args.get(i).ok_or("--listen needs a value")?;
-                o.listen = Some(v.parse().map_err(|_| {
-                    format!("bad --listen address `{v}` (expected HOST:PORT, e.g. 127.0.0.1:0)")
-                })?);
-            }
-            "--secret-file" => {
-                i += 1;
-                o.secret_file = Some(PathBuf::from(
-                    args.get(i).ok_or("--secret-file needs a value")?,
-                ));
-            }
-            "--reconnects" => {
-                i += 1;
-                o.reconnects = Some(
-                    args.get(i)
-                        .ok_or("--reconnects needs a value")?
-                        .parse()
-                        .map_err(|_| "bad reconnect budget")?,
-                );
-            }
-            "--connect" => {
-                // Recognized so the audit can say "not valid for `cmd`"
-                // instead of "unknown option": it belongs to the hidden
-                // `shard-worker` mode, which parses its own tail.
-                i += 1;
-                args.get(i).ok_or("--connect needs a value")?;
-            }
             "--schedule-seed" => {
                 i += 1;
                 o.schedule_seed = Some(
@@ -640,11 +580,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
                     "naive" => fx10_core::analysis::SolverKind::Naive,
                     "worklist" => fx10_core::analysis::SolverKind::Worklist,
                     "scc" => fx10_core::analysis::SolverKind::Scc,
-                    "scc-par" => fx10_core::analysis::SolverKind::SccParallel(
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(4),
-                    ),
                     other => return Err(format!("unknown solver `{other}`")),
                 };
             }
@@ -662,20 +597,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
                 .to_string(),
         );
     }
-    if o.listen.is_some() && o.shards.is_none() {
-        return Err(
-            "--listen selects the socket transport for the shard fleet; it requires --shards"
-                .to_string(),
-        );
-    }
-    if o.secret_file.is_some() && o.listen.is_none() {
-        return Err("--secret-file authenticates socket workers; it requires --listen".to_string());
-    }
-    if o.reconnects.is_some() && o.listen.is_none() {
-        return Err(
-            "--reconnects budgets socket reconnections; it requires --listen".to_string(),
-        );
-    }
     Ok((o, seen))
 }
 
@@ -691,10 +612,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--resume",
     "--shards",
     "--digest-xor",
-    "--listen",
-    "--connect",
-    "--secret-file",
-    "--reconnects",
     "--schedule-seed",
     "--grain",
     "--elide",
@@ -738,9 +655,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--resume",
             "--shards",
             "--digest-xor",
-            "--listen",
-            "--secret-file",
-            "--reconnects",
         ],
         "mhp" => &["--ci", "--solver", "--fallback-ci"],
         "race" => &["--ci", "--solver", "--domain", "--input"],
@@ -816,10 +730,6 @@ fn env_hooks(o: &mut Opts, cmd: &str) -> Result<(), String> {
             "FX10_SHARD_KILL",
             "FX10_SHARD_WEDGE",
             "FX10_SHARD_RESTARTS",
-            "FX10_NET_DROP",
-            "FX10_NET_DUP",
-            "FX10_NET_DELAY_MS",
-            "FX10_NET_PARTITION",
         ];
         for name in HOOKS {
             if var(name)?.is_some() {
@@ -906,68 +816,6 @@ fn env_hooks(o: &mut Opts, cmd: &str) -> Result<(), String> {
             return Err("FX10_STALL_MS must be >= 1".to_string());
         }
         o.stall_ms = Some(n);
-    }
-    // `p[:seed]` — a percentage in 0..=100 plus an optional chaos seed.
-    fn pct_seed(name: &str, v: &str) -> Result<(u8, Option<u64>), String> {
-        let (p, seed) = match v.split_once(':') {
-            Some((p, s)) => (
-                p,
-                Some(s.parse().map_err(|_| format!("bad {name} seed `{s}`"))?),
-            ),
-            None => (v, None),
-        };
-        let pct: u8 = p
-            .parse()
-            .map_err(|_| format!("bad {name} percentage `{p}`"))?;
-        if pct > 100 {
-            return Err(format!("{name} percentage must be 0..=100, got {pct}"));
-        }
-        Ok((pct, seed))
-    }
-    let mut net_hook = None;
-    let mut net_seed: Option<u64> = None;
-    if let Some(v) = var("FX10_NET_DROP")? {
-        net_hook = Some("FX10_NET_DROP");
-        let (pct, seed) = pct_seed("FX10_NET_DROP", &v)?;
-        o.net_chaos.drop_pct = pct;
-        net_seed = net_seed.or(seed);
-    }
-    if let Some(v) = var("FX10_NET_DUP")? {
-        net_hook = Some("FX10_NET_DUP");
-        let (pct, seed) = pct_seed("FX10_NET_DUP", &v)?;
-        o.net_chaos.dup_pct = pct;
-        // FX10_NET_DROP's seed wins when both carry one.
-        net_seed = net_seed.or(seed);
-    }
-    if let Some(v) = var("FX10_NET_DELAY_MS")? {
-        net_hook = Some("FX10_NET_DELAY_MS");
-        o.net_chaos.delay_ms = v
-            .parse()
-            .map_err(|_| format!("bad FX10_NET_DELAY_MS `{v}`"))?;
-    }
-    if let Some(v) = var("FX10_NET_PARTITION")? {
-        net_hook = Some("FX10_NET_PARTITION");
-        let (slot, count) = v
-            .split_once(':')
-            .ok_or_else(|| format!("bad FX10_NET_PARTITION `{v}` (expected slot:count)"))?;
-        o.net_chaos.partition = Some((
-            slot.parse()
-                .map_err(|_| format!("bad FX10_NET_PARTITION slot `{slot}`"))?,
-            count
-                .parse()
-                .map_err(|_| format!("bad FX10_NET_PARTITION count `{count}`"))?,
-        ));
-    }
-    if let Some(s) = net_seed {
-        o.net_chaos.seed = s;
-    }
-    if let Some(name) = net_hook {
-        if o.listen.is_none() {
-            return Err(format!(
-                "{name} injects faults into the socket transport; it requires \
-                 `explore --shards N --listen HOST:PORT`"
-            ));
-        }
     }
     Ok(())
 }
@@ -1608,109 +1456,24 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
     }
 }
 
-/// The hidden `shard-worker` mode. No arguments: speak FX10SNAP frames
-/// on stdin/stdout (spawned over pipes). With arguments: dial the
-/// supervisor at `--connect ADDR` as shard `--slot N`, authenticating
-/// with `--secret-file F` and re-dialing up to `--reconnects N` times
-/// per disconnection. The tail is parsed as strictly as the public
-/// commands — an unknown or valueless flag is a usage error (exit 2),
-/// because a typo here means the supervisor waits on a worker that never
-/// arrives.
+/// The hidden `shard-worker` mode: speak FX10SNAP frames on
+/// stdin/stdout under the supervisor spawned by `explore --shards`. It
+/// takes no arguments; any is a usage error (exit 2), because a worker
+/// started by hand with flags would otherwise sit waiting for an `INIT`
+/// that never comes.
 fn shard_worker_entry(args: &[String]) -> ExitCode {
-    if args.is_empty() {
-        return match fx10_semantics::shard_worker_main(std::io::stdin(), std::io::stdout().lock()) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("shard-worker: {e}");
-                ExitCode::from(e.exit_code())
-            }
-        };
+    if let Some(arg) = args.first() {
+        eprintln!("error: unknown shard-worker option `{arg}`");
+        eprintln!("usage: fx10 shard-worker   (spawned by `fx10 explore --shards N`)");
+        return ExitCode::from(2);
     }
-    let opts = match parse_worker_net_args(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: fx10 shard-worker --connect HOST:PORT --slot N \
-                 [--secret-file <file>] [--reconnects N]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match fx10_semantics::shard_worker_net(&opts) {
+    match fx10_semantics::shard_worker_main(std::io::stdin(), std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("shard-worker: {e}");
             ExitCode::from(e.exit_code())
         }
     }
-}
-
-/// Parses the `shard-worker --connect` tail. Kept separate from
-/// [`parse_opts`] on purpose: the worker mode is an internal protocol
-/// endpoint with four flags, not a public command, and sharing the big
-/// option table would let public-only flags leak in.
-fn parse_worker_net_args(args: &[String]) -> Result<fx10_semantics::NetWorkerOptions, String> {
-    let mut addr: Option<std::net::SocketAddr> = None;
-    let mut slot: Option<u32> = None;
-    let mut secret_file: Option<PathBuf> = None;
-    let mut reconnects: u32 = 5;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--connect" => {
-                i += 1;
-                let v = args.get(i).ok_or("--connect needs a value")?;
-                addr = Some(v.parse().map_err(|_| {
-                    format!("bad --connect address `{v}` (expected HOST:PORT)")
-                })?);
-            }
-            "--slot" => {
-                i += 1;
-                slot = Some(
-                    args.get(i)
-                        .ok_or("--slot needs a value")?
-                        .parse()
-                        .map_err(|_| "bad slot")?,
-                );
-            }
-            "--secret-file" => {
-                i += 1;
-                secret_file = Some(PathBuf::from(
-                    args.get(i).ok_or("--secret-file needs a value")?,
-                ));
-            }
-            "--reconnects" => {
-                i += 1;
-                reconnects = args
-                    .get(i)
-                    .ok_or("--reconnects needs a value")?
-                    .parse()
-                    .map_err(|_| "bad reconnect budget")?;
-            }
-            other => return Err(format!("unknown shard-worker option `{other}`")),
-        }
-        i += 1;
-    }
-    let addr = addr.ok_or("shard-worker net mode requires --connect")?;
-    let slot = slot.ok_or("shard-worker net mode requires --slot")?;
-    let secret = match secret_file {
-        Some(p) => {
-            let mut bytes = std::fs::read(&p)
-                .map_err(|e| format!("cannot read secret file `{}`: {e}", p.display()))?;
-            while bytes.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
-                bytes.pop();
-            }
-            bytes
-        }
-        None => Vec::new(),
-    };
-    Ok(fx10_semantics::NetWorkerOptions {
-        addr,
-        slot,
-        secret,
-        reconnects,
-    })
 }
 
 fn main() -> ExitCode {
@@ -1720,11 +1483,9 @@ fn main() -> ExitCode {
         None => return usage(),
     };
     if cmd == "shard-worker" {
-        // Internal protocol mode spawned by `explore --shards`: the frame
-        // channel is stdin/stdout (pipe mode, no arguments) or a TCP
-        // connection back to the supervisor (`--connect`), so nothing
-        // human-readable is printed on stdout; diagnostics go to stderr
-        // (inherited from the parent).
+        // Internal protocol mode spawned by `explore --shards`: stdout
+        // is the frame channel, so nothing human-readable is printed
+        // there; diagnostics go to stderr (inherited from the parent).
         return shard_worker_entry(rest);
     }
     const COMMANDS: &[&str] = &[

@@ -179,7 +179,7 @@ fn bench_runs_a_named_benchmark() {
 #[test]
 fn solver_variants_agree_via_cli() {
     let mut outputs = Vec::new();
-    for solver in ["naive", "worklist", "scc", "scc-par"] {
+    for solver in ["naive", "worklist", "scc"] {
         let out = fx10(&["mhp", "programs/example22.fx10", "--solver", solver]);
         assert!(out.status.success(), "{solver}: {out:?}");
         // Compare only the pair lines (timings differ).
@@ -214,6 +214,25 @@ fn usage_errors_exit_2() {
         code(&fx10(&["mhp", "programs/example22.fx10", "--bogus"])),
         2
     );
+    // The flags of the removed socket transport are unknown options.
+    for (flag, value) in [
+        ("listen", "127.0.0.1:0"),
+        ("secret-file", "f"),
+        ("reconnects", "1"),
+    ] {
+        let flag = format!("--{flag}");
+        let out = fx10(&[
+            "explore",
+            "programs/fork_join.fx10",
+            "--shards",
+            "2",
+            &flag,
+            value,
+        ]);
+        assert_eq!(code(&out), 2, "{flag}: {out:?}");
+        let e = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(e.contains("unknown option"), "{flag}: {e}");
+    }
     assert_eq!(code(&fx10(&["frobnicate", "x"])), 2);
     assert_eq!(
         code(&fx10(&[
@@ -338,7 +357,7 @@ fn every_command_survives_a_one_millisecond_deadline() {
 
 #[test]
 fn solver_choices_all_respect_budgets() {
-    for solver in ["naive", "worklist", "scc", "scc-par"] {
+    for solver in ["naive", "worklist", "scc"] {
         let out = fx10(&[
             "mhp",
             "programs/example22.fx10",

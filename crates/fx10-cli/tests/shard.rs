@@ -178,6 +178,34 @@ fn dead_shard_migrates_its_work_to_a_survivor() {
     let _ = std::fs::remove_dir_all(&ck);
 }
 
+/// `--max-states` bounds a sharded run: each worker stops at its share
+/// of the cap, so the fleet ends within one outbox batch (512 states)
+/// per shard of it, tagged truncated, with exit 3.
+#[test]
+fn sharded_runs_stop_at_the_state_cap() {
+    const CAP: usize = 20_000;
+    const BATCH_FLUSH: usize = 512;
+    for shards in [2usize, 4] {
+        let n = shards.to_string();
+        let out = fx10(&["explore", WIDE, "--max-states", "20000", "--shards", &n]);
+        assert_eq!(code(&out), 3, "--shards {shards}: {out:?}");
+        let s = stdout(&out);
+        let line = s
+            .lines()
+            .find(|l| l.contains("state(s) visited"))
+            .unwrap_or_else(|| panic!("no summary line: {s}"));
+        assert!(
+            line.contains("(truncated: state budget exhausted)"),
+            "{line}"
+        );
+        let visited: usize = line.split_whitespace().next().unwrap().parse().unwrap();
+        assert!(
+            visited <= CAP + shards * BATCH_FLUSH,
+            "--shards {shards} visited {visited} states"
+        );
+    }
+}
+
 /// `check --ladder --shards N` answers on the sharded rung when the
 /// fleet is healthy, and reports it.
 #[test]

@@ -557,17 +557,6 @@ pub fn analyze_condensed_budgeted(
         SolverKind::Naive => solve_pair_naive_budgeted(&l2_sys, &mut meter)?,
         SolverKind::Worklist => solve_pair_worklist_budgeted(&l2_sys, &mut meter)?,
         SolverKind::Scc => fx10_core::scc::solve_pair_scc_budgeted(&l2_sys, &mut meter)?,
-        SolverKind::SccParallel(t) => {
-            let sol = fx10_core::scc::solve_pair_scc_parallel_budgeted(
-                &l2_sys,
-                t,
-                meter.budget(),
-                cancel,
-                &fx10_robust::FaultPlan::none(),
-            )?;
-            let _ = meter.charge(sol.evals as u64);
-            sol
-        }
     };
 
     let stats = AnalysisStats {

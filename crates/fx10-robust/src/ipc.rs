@@ -1,9 +1,10 @@
-//! Length-prefixed FX10SNAP wire framing for shard transports.
+//! Length-prefixed FX10SNAP wire framing for the shard fleet.
 //!
-//! The shard supervisor and its worker processes exchange messages over
-//! a [`Transport`] — plain pipes (the worker's stdin/stdout) or a TCP
-//! stream (loopback by default, machines apart by design). Every
-//! message is one *frame*:
+//! The shard supervisor and each of its worker processes exchange
+//! messages over a pair of anonymous pipes: the worker's stdin and
+//! stdout. The supervisor spawns every worker itself, on the same host,
+//! so the spawn authenticates the peer and the pipes deliver in order
+//! without loss. Every message is one *frame*:
 //!
 //! ```text
 //! [ u32 LE frame length ][ FX10SNAP container, exactly that long ]
@@ -15,7 +16,7 @@
 //! typed [`SnapshotError`], never a panic. Two sections are used:
 //!
 //! - [`SEC_HEAD`]: `{ kind u32, seq u64 }` — the message kind (one of
-//!   the [`kind`] constants) and a per-connection sequence number,
+//!   the [`kind`] constants) and a per-sender sequence number,
 //! - [`SEC_BODY`]: opaque payload bytes owned by the protocol layer
 //!   (absent for body-less messages such as `FINISH`).
 //!
@@ -23,23 +24,22 @@
 //! *before* any allocation, so a corrupted length field can never
 //! trigger an OOM-sized read.
 
-use crate::snapshot::{fnv1a64, SectionBuf, Snapshot, SnapshotError, SnapshotWriter};
+use crate::snapshot::{SectionBuf, Snapshot, SnapshotError, SnapshotWriter};
 use crate::Fx10Error;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// Section tag of the `{kind, seq}` header.
 pub const SEC_HEAD: u32 = 1;
 /// Section tag of the opaque body payload.
 pub const SEC_BODY: u32 = 2;
 
-/// Version of the shard wire protocol. Carried in every `HELLO` and
-/// `CHALLENGE` so a supervisor and worker built from different trees
-/// refuse each other with a typed error instead of mis-decoding frames.
-/// Bump it whenever a frame layout or body codec changes — the
-/// byte-golden tests in `tests/wire_golden.rs` make such a change a
+/// Version of the shard wire protocol, carried in every `HELLO` so a
+/// supervisor refuses a worker binary built from a different tree
+/// instead of mis-decoding its frames. Bump it whenever a frame layout
+/// or body codec changes (the domain `INIT` and result bodies included) —
+/// the byte-golden tests in `tests/wire_golden.rs` make such a change a
 /// deliberate diff.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Default frame-length cap (64 MiB): far above any real batch, far
 /// below an allocation that could hurt.
@@ -48,9 +48,11 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// Message kinds of the shard protocol.
 pub mod kind {
     /// Worker → supervisor: first message after spawn; proves the pipe.
+    /// Body is the worker's [`super::PROTOCOL_VERSION`] — see
+    /// [`super::hello_body`].
     pub const HELLO: u32 = 1;
     /// Supervisor → worker: configuration (program, shard ownership,
-    /// checkpoint path, chaos plan). Body is domain-encoded.
+    /// checkpoint path, state cap, chaos plan). Body is domain-encoded.
     pub const INIT: u32 = 2;
     /// Either direction: a frontier batch. Body is
     /// `[u32 LE dest shard][domain payload]` — see [`super::batch_body`].
@@ -64,35 +66,21 @@ pub mod kind {
     pub const PROBE: u32 = 6;
     /// Worker → supervisor: probe reply (token, processed, idle).
     pub const PROBE_REPLY: u32 = 7;
-    /// Supervisor → worker: stop exploring, send `RESULT`, exit 0.
+    /// Supervisor → worker: stop exploring, send the result as
+    /// `RESULT_PART` frames.
     pub const FINISH: u32 = 8;
-    /// Worker → supervisor: final domain-encoded result.
-    pub const RESULT: u32 = 9;
     /// Supervisor → worker: adopt a dead sibling's shards (body carries
     /// the shard ids and its last checkpoint, if any).
     pub const ADOPT: u32 = 10;
-    /// Supervisor → worker (socket transport): handshake step 2 — the
-    /// supervisor's protocol version, a fresh nonce, and the run's
-    /// program fingerprint.
-    pub const CHALLENGE: u32 = 11;
-    /// Worker → supervisor (socket transport): handshake step 3 — the
-    /// keyed MAC over the challenge nonce and the worker's identity.
-    pub const AUTH: u32 = 12;
-    /// Supervisor → worker (socket transport): the handshake failed;
-    /// body carries a reject code and a human-readable reason. The
-    /// connection is closed right after.
-    pub const REJECT: u32 = 13;
-    /// Supervisor → worker (socket transport): handshake step 4 — the
-    /// connection is authenticated and attached; protocol frames may
-    /// now flow.
-    pub const WELCOME: u32 = 14;
-    /// Worker → supervisor: one bounded slice of the final result —
-    /// body is `[u32 index][u32 total][bytes]`, reassembled in order
-    /// by the supervisor. A collected result can be far larger than
-    /// any sane frame cap, and a single monster frame reads as peer
-    /// silence for its whole transfer; parts keep every frame small
-    /// and the heartbeat accounting live.
+    /// Worker → supervisor: one bounded slice of the final
+    /// domain-encoded result — body is `[u32 index][u32 total][bytes]`,
+    /// reassembled in order by the supervisor. A collected result can
+    /// be far larger than any sane frame cap, and a single monster frame
+    /// reads as peer silence for its whole transfer; parts keep every
+    /// frame small and the heartbeat accounting live.
     pub const RESULT_PART: u32 = 15;
+    // Kinds 9 and 11–14 are retired: never reuse them, so an old peer's
+    // frames read as unexpected kinds rather than as something else.
 }
 
 fn kind_name(k: u32) -> &'static str {
@@ -105,12 +93,7 @@ fn kind_name(k: u32) -> &'static str {
         kind::PROBE => "PROBE",
         kind::PROBE_REPLY => "PROBE_REPLY",
         kind::FINISH => "FINISH",
-        kind::RESULT => "RESULT",
         kind::ADOPT => "ADOPT",
-        kind::CHALLENGE => "CHALLENGE",
-        kind::AUTH => "AUTH",
-        kind::REJECT => "REJECT",
-        kind::WELCOME => "WELCOME",
         kind::RESULT_PART => "RESULT_PART",
         _ => "?",
     }
@@ -121,7 +104,7 @@ fn kind_name(k: u32) -> &'static str {
 pub struct WireMsg {
     /// One of the [`kind`] constants.
     pub kind: u32,
-    /// Per-connection sequence number (assigned by the sender).
+    /// Per-sender sequence number.
     pub seq: u64,
     /// Opaque body bytes (empty for body-less kinds).
     pub body: Vec<u8>,
@@ -195,7 +178,7 @@ pub fn write_frame(w: &mut impl Write, msg: &WireMsg) -> Result<(), Fx10Error> {
 }
 
 /// Writes pre-encoded frame bytes (as returned by [`WireMsg::frame`])
-/// and flushes — used when redelivering retained frames verbatim.
+/// and flushes — the supervisor's writer threads drain queues of these.
 pub fn write_frame_bytes(w: &mut impl Write, frame: &[u8]) -> Result<(), Fx10Error> {
     w.write_all(frame).map_err(io_err)?;
     w.flush().map_err(io_err)
@@ -297,6 +280,19 @@ impl<'a> BodyReader<'a> {
             ))
         }
     }
+}
+
+/// Encodes a `HELLO` body: the sender's protocol version.
+pub fn hello_body(proto: u32) -> Vec<u8> {
+    proto.to_le_bytes().to_vec()
+}
+
+/// Decodes a `HELLO` body into the sender's protocol version.
+pub fn parse_hello_body(body: &[u8]) -> Result<u32, SnapshotError> {
+    let mut c = body_cursor(body);
+    let proto = c.get_u32()?;
+    c.done()?;
+    Ok(proto)
 }
 
 /// Encodes an `ACK` body: the checkpoint-covered batch seqs.
@@ -450,8 +446,8 @@ pub fn batch_payload(body: &[u8]) -> Result<&[u8], SnapshotError> {
 /// a typical collected result fits in a handful of parts.
 pub const RESULT_PART_LEN: usize = 4 << 20;
 
-/// Cap on the `total` field of a `RESULT_PART` — bounds the memory an
-/// authenticated-but-buggy worker can make the supervisor reserve.
+/// Cap on the `total` field of a `RESULT_PART` — bounds the memory a
+/// buggy worker can make the supervisor reserve.
 pub const MAX_RESULT_PARTS: u32 = 4096;
 
 /// Encodes a `RESULT_PART` body: this part's index, the part count of
@@ -479,278 +475,6 @@ pub fn parse_result_part_body(body: &[u8]) -> Result<(u32, u32, &[u8]), Snapshot
     Ok((index, total, &body[8..]))
 }
 
-/// A worker's opening handshake message on the socket transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hello {
-    /// The worker binary's [`PROTOCOL_VERSION`].
-    pub proto: u32,
-    /// The shard slot this worker was spawned for.
-    pub slot: u32,
-    /// A random per-process id: lets the supervisor distinguish the
-    /// same process reconnecting (keep the dedup window) from a
-    /// respawned process (reset it).
-    pub boot_id: u64,
-    /// The program fingerprint the worker is exploring, or 0 on the
-    /// first connection (before it has received `INIT`).
-    pub fingerprint: u64,
-}
-
-/// Encodes a `HELLO` body for the socket handshake. (The pipe
-/// transport's `HELLO` has an empty body — pipes need no handshake.)
-pub fn hello_body(h: &Hello) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24);
-    out.extend_from_slice(&h.proto.to_le_bytes());
-    out.extend_from_slice(&h.slot.to_le_bytes());
-    out.extend_from_slice(&h.boot_id.to_le_bytes());
-    out.extend_from_slice(&h.fingerprint.to_le_bytes());
-    out
-}
-
-/// Decodes a socket-handshake `HELLO` body.
-pub fn parse_hello_body(body: &[u8]) -> Result<Hello, SnapshotError> {
-    let mut c = body_cursor(body);
-    let proto = c.get_u32()?;
-    let slot = c.get_u32()?;
-    let boot_id = c.get_u64()?;
-    let fingerprint = c.get_u64()?;
-    c.done()?;
-    Ok(Hello {
-        proto,
-        slot,
-        boot_id,
-        fingerprint,
-    })
-}
-
-/// Encodes a `CHALLENGE` body: the supervisor's protocol version, a
-/// fresh nonce, and the run's program fingerprint.
-pub fn challenge_body(proto: u32, nonce: u64, fingerprint: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20);
-    out.extend_from_slice(&proto.to_le_bytes());
-    out.extend_from_slice(&nonce.to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out
-}
-
-/// Decodes a `CHALLENGE` body into `(proto, nonce, fingerprint)`.
-pub fn parse_challenge_body(body: &[u8]) -> Result<(u32, u64, u64), SnapshotError> {
-    let mut c = body_cursor(body);
-    let proto = c.get_u32()?;
-    let nonce = c.get_u64()?;
-    let fingerprint = c.get_u64()?;
-    c.done()?;
-    Ok((proto, nonce, fingerprint))
-}
-
-/// Encodes an `AUTH` body (the keyed MAC answering a challenge).
-pub fn auth_body(mac: u64) -> Vec<u8> {
-    mac.to_le_bytes().to_vec()
-}
-
-/// Decodes an `AUTH` body.
-pub fn parse_auth_body(body: &[u8]) -> Result<u64, SnapshotError> {
-    let mut c = body_cursor(body);
-    let mac = c.get_u64()?;
-    c.done()?;
-    Ok(mac)
-}
-
-/// Why a handshake was rejected (the code inside a `REJECT` body).
-pub mod reject {
-    /// Protocol-version skew between supervisor and worker.
-    pub const VERSION: u32 = 1;
-    /// The keyed MAC did not verify (wrong or missing shared secret).
-    pub const AUTH: u32 = 2;
-    /// The worker's program fingerprint belongs to a different run.
-    pub const FINGERPRINT: u32 = 3;
-    /// The claimed slot does not exist in this fleet.
-    pub const SLOT: u32 = 4;
-    /// The handshake itself was malformed (wrong kind, bad body).
-    pub const PROTOCOL: u32 = 5;
-}
-
-/// Encodes a `REJECT` body: a [`reject`] code plus a human-readable
-/// reason.
-pub fn reject_body(code: u32, message: &str) -> Vec<u8> {
-    let msg = message.as_bytes();
-    let mut out = Vec::with_capacity(12 + msg.len());
-    out.extend_from_slice(&code.to_le_bytes());
-    out.extend_from_slice(&(msg.len() as u64).to_le_bytes());
-    out.extend_from_slice(msg);
-    out
-}
-
-/// Decodes a `REJECT` body into `(code, message)`.
-pub fn parse_reject_body(body: &[u8]) -> Result<(u32, String), SnapshotError> {
-    let mut c = body_cursor(body);
-    let code = c.get_u32()?;
-    let len = c.get_count(1)?;
-    let msg = String::from_utf8_lossy(c.take(len)?).into_owned();
-    c.done()?;
-    Ok((code, msg))
-}
-
-// -- transports --------------------------------------------------------------
-
-/// The write half of a transport: accepts pre-encoded frames (as
-/// returned by [`WireMsg::frame`]) and flushes them to the peer.
-pub trait FrameSender: Send {
-    /// Writes one pre-encoded frame and flushes.
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error>;
-
-    /// Encodes and sends one message.
-    fn send(&mut self, msg: &WireMsg) -> Result<(), Fx10Error> {
-        self.send_frame(&msg.frame())
-    }
-}
-
-/// The read half of a transport: yields decoded frames until the peer
-/// hangs up. `Ok(None)` is a clean EOF at a frame boundary; mid-frame
-/// EOF and corruption are typed errors.
-pub trait FrameReceiver: Send {
-    /// Blocks for the next frame.
-    fn recv_frame(&mut self) -> Result<Option<WireMsg>, Fx10Error>;
-}
-
-/// A bidirectional frame stream to one peer. Splitting moves ownership
-/// into independent `Send` halves so a writer thread and a reader
-/// thread can pump the same connection concurrently.
-pub trait Transport: Send {
-    /// Splits the transport into its write and read halves.
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>);
-
-    /// Human-readable peer address, for supervision-event traces.
-    fn peer(&self) -> String;
-}
-
-/// The original transport: a pair of anonymous pipes (the worker's
-/// stdin/stdout). Ordered, reliable, no handshake needed — the process
-/// spawn itself authenticates the peer.
-pub struct PipeTransport<R, W> {
-    reader: R,
-    writer: W,
-    max_frame: usize,
-}
-
-impl<R, W> PipeTransport<R, W>
-where
-    R: Read + Send + 'static,
-    W: Write + Send + 'static,
-{
-    /// Wraps a read/write pair (e.g. a child's stdout/stdin).
-    pub fn new(reader: R, writer: W, max_frame: usize) -> Self {
-        PipeTransport {
-            reader,
-            writer,
-            max_frame,
-        }
-    }
-}
-
-struct PipeSender<W>(W);
-
-impl<W: Write + Send> FrameSender for PipeSender<W> {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error> {
-        write_frame_bytes(&mut self.0, frame)
-    }
-}
-
-struct PipeReceiver<R> {
-    reader: R,
-    max_frame: usize,
-}
-
-impl<R: Read + Send> FrameReceiver for PipeReceiver<R> {
-    fn recv_frame(&mut self) -> Result<Option<WireMsg>, Fx10Error> {
-        read_frame(&mut self.reader, self.max_frame)
-    }
-}
-
-impl<R, W> Transport for PipeTransport<R, W>
-where
-    R: Read + Send + 'static,
-    W: Write + Send + 'static,
-{
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
-        (
-            Box::new(PipeSender(self.writer)),
-            Box::new(PipeReceiver {
-                reader: self.reader,
-                max_frame: self.max_frame,
-            }),
-        )
-    }
-
-    fn peer(&self) -> String {
-        "<pipe>".into()
-    }
-}
-
-/// The socket transport: the same length-prefixed frames over a TCP
-/// stream. Loopback by default; the stream must already be past the
-/// [`crate::conn`] handshake before frames flow.
-pub struct TcpTransport {
-    stream: TcpStream,
-    max_frame: usize,
-}
-
-impl TcpTransport {
-    /// Wraps an authenticated TCP stream.
-    pub fn new(stream: TcpStream, max_frame: usize) -> Self {
-        TcpTransport { stream, max_frame }
-    }
-}
-
-/// A [`Read`] over a `TcpStream` that retries reads interrupted by a
-/// socket read-timeout, so [`read_frame`] blocks until a whole frame,
-/// a clean EOF, or a real error. A peer (or the supervisor's control
-/// handle) shutting the socket down unblocks it with EOF.
-struct BlockingTcpReader(TcpStream);
-
-impl Read for BlockingTcpReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.0.read(buf) {
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
-        let reader = self
-            .stream
-            .try_clone()
-            .expect("cloning a TCP stream handle");
-        (
-            Box::new(PipeSender(self.stream)),
-            Box::new(PipeReceiver {
-                reader: BlockingTcpReader(reader),
-                max_frame: self.max_frame,
-            }),
-        )
-    }
-
-    fn peer(&self) -> String {
-        self.stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into())
-    }
-}
-
-/// A short fingerprint of raw bytes, for event traces.
-pub fn digest8(bytes: &[u8]) -> u64 {
-    fnv1a64(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,7 +483,7 @@ mod tests {
     #[test]
     fn frame_roundtrips_through_a_pipe_buffer() {
         let msgs = [
-            WireMsg::new(kind::HELLO, 0, Vec::new()),
+            WireMsg::new(kind::HELLO, 0, hello_body(PROTOCOL_VERSION)),
             WireMsg::new(kind::BATCH, 7, batch_body(3, b"payload")),
             WireMsg::new(kind::FINISH, 99, Vec::new()),
         ];
@@ -817,6 +541,13 @@ mod tests {
         let mut lie = Vec::new();
         lie.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(parse_ack_body(&lie).is_err());
+    }
+
+    #[test]
+    fn hello_body_roundtrips_and_rejects_trailing_bytes() {
+        assert_eq!(parse_hello_body(&hello_body(7)).unwrap(), 7);
+        assert!(parse_hello_body(&[]).is_err());
+        assert!(parse_hello_body(&[0; 5]).is_err());
     }
 
     #[test]

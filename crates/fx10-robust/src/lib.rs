@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-pub mod conn;
 pub mod ipc;
 pub mod shard;
 pub mod snapshot;
@@ -79,14 +78,6 @@ pub enum Fx10Error {
         /// What was wrong with the snapshot, rendered.
         message: String,
     },
-    /// A socket-transport handshake was refused: protocol-version skew,
-    /// a stale program fingerprint, an unknown slot, or a keyed MAC
-    /// that did not verify. Treated as a usage error — the *peer* is
-    /// wrong, not the analysis.
-    Handshake {
-        /// Why the peer was refused, rendered.
-        message: String,
-    },
     /// The watchdog observed a worker whose heartbeat stopped advancing
     /// for longer than the stall threshold and cancelled the crew.
     WorkerStalled {
@@ -104,13 +95,13 @@ impl Fx10Error {
     /// |------|------------------------------------------|
     /// | 0    | success (not an error)                   |
     /// | 1    | analysis error (parse/validate/io/unsound)|
-    /// | 2    | usage error / invalid snapshot / refused handshake |
+    /// | 2    | usage error / invalid snapshot           |
     /// | 3    | budget exhausted / inconclusive          |
     /// | 4    | cancelled, worker panicked or stalled    |
     pub fn exit_code(&self) -> u8 {
         match self {
             Fx10Error::Parse { .. } | Fx10Error::Validate(_) | Fx10Error::Io { .. } => 1,
-            Fx10Error::Snapshot { .. } | Fx10Error::Handshake { .. } => 2,
+            Fx10Error::Snapshot { .. } => 2,
             Fx10Error::BudgetExhausted(_) => 3,
             Fx10Error::Cancelled
             | Fx10Error::WorkerPanicked { .. }
@@ -134,7 +125,6 @@ impl fmt::Display for Fx10Error {
                 write!(f, "worker {worker} panicked: {message}")
             }
             Fx10Error::Snapshot { message } => write!(f, "snapshot error: {message}"),
-            Fx10Error::Handshake { message } => write!(f, "handshake error: {message}"),
             Fx10Error::WorkerStalled { worker, stalled_ms } => {
                 write!(
                     f,
@@ -725,13 +715,6 @@ mod tests {
         );
         assert_eq!(
             Fx10Error::Snapshot {
-                message: "m".into()
-            }
-            .exit_code(),
-            2
-        );
-        assert_eq!(
-            Fx10Error::Handshake {
                 message: "m".into()
             }
             .exit_code(),

@@ -8,7 +8,7 @@
 //! unacked frames) to a survivor, and detects global quiescence with an
 //! explicit probe round. What the frames *mean* — programs, frontier
 //! batches, results — is owned by the domain layer, which supplies the
-//! `INIT` bodies and interprets the `RESULT` bodies.
+//! `INIT` bodies and interprets the reassembled result bodies.
 //!
 //! ## Delivery and durability contract
 //!
@@ -20,7 +20,9 @@
 //! no state is lost to a crash between delivery and durability.
 //! Redelivered frames keep their original sequence numbers; worker-side
 //! dedup (the visited set restored from the checkpoint) makes
-//! redelivery idempotent.
+//! redelivery idempotent. Pipes are reliable, so nothing is ever
+//! retransmitted within one incarnation: redelivery happens only to a
+//! fresh process (restart) or a survivor (migration).
 //!
 //! ## Quiescence
 //!
@@ -36,29 +38,13 @@
 //! successful round proves no work is in flight anywhere.
 
 use crate::backoff::{RestartPolicy, XorShift64};
-use crate::conn::{self, Attach, ChaosLink, ConnSupervisor, FaultyReceiver, FaultySender, NetChaos};
-use crate::ipc::{self, kind, Transport, WireMsg};
+use crate::ipc::{self, kind, WireMsg};
 use crate::{CancelToken, Exhaustion, Fx10Error};
-use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// A stuck quiescence round (a `PROBE` or its reply lost to the
-/// network) is abandoned and re-run after this long.
-const ROUND_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// A result-less worker is re-`FINISH`ed at this cadence (not the
-/// fast unacked-work cadence): a collected `RESULT` can be tens of
-/// megabytes and take seconds to build and transmit, and every
-/// duplicate `FINISH` elicits a full re-send. Re-finishing on the
-/// work-retransmission cadence floods a worker that is busy answering
-/// with more copies than it can drain.
-const FINISH_RETRANSMIT: Duration = Duration::from_secs(2);
 
 /// Configuration of a shard fleet.
 #[derive(Debug, Clone)]
@@ -74,8 +60,6 @@ pub struct ShardSupervisor {
     pub poll: Duration,
     /// Wall-clock budget for the whole supervised run.
     pub deadline: Option<Duration>,
-    /// Stop (truncated) once the fleet's visited states reach this cap.
-    pub progress_cap: Option<u64>,
     /// Frame-length cap passed to the pipe readers.
     pub max_frame: usize,
 }
@@ -88,7 +72,6 @@ impl Default for ShardSupervisor {
             stall_after: Duration::from_secs(10),
             poll: Duration::from_millis(20),
             deadline: None,
-            progress_cap: None,
             max_frame: ipc::MAX_FRAME_LEN,
         }
     }
@@ -97,87 +80,32 @@ impl Default for ShardSupervisor {
 /// What a supervised run produced, with full provenance.
 #[derive(Debug, Default)]
 pub struct SupervisionReport {
-    /// Per-slot `RESULT` bodies (`None` for slots that died and whose
+    /// Per-slot result bodies (`None` for slots that died and whose
     /// shards were migrated away).
     pub results: Vec<Option<Vec<u8>>>,
     /// Human-readable supervision events, in order: restarts,
-    /// migrations, quiescence, truncation.
+    /// migrations, quiescence.
     pub events: Vec<String>,
     /// Worker restarts performed.
     pub restarts: u32,
     /// Shard migrations performed.
     pub migrations: u32,
-    /// Did the run stop at the progress cap rather than quiescence?
-    pub truncated: bool,
 }
 
-/// Connection parameters of the socket transport.
-#[derive(Debug, Clone)]
-pub struct TcpLinkConfig {
-    /// Shared handshake secret (empty = structural checks only).
-    pub secret: Vec<u8>,
-    /// The run's program fingerprint, agreed during the handshake.
-    pub fingerprint: u64,
-    /// A connected worker silent past this window has its connection
-    /// dropped (it reconnects, or the stall detector escalates).
-    pub heartbeat_timeout: Duration,
-    /// Unacked work frames idle past this window are retransmitted.
-    pub retransmit_after: Duration,
-    /// Connection drops tolerated per worker incarnation before the
-    /// fleet escalates to restart/migration.
-    pub max_reconnects: u32,
-    /// Deterministic network-fault plan (inactive by default).
-    pub chaos: NetChaos,
-}
-
-impl Default for TcpLinkConfig {
-    fn default() -> Self {
-        TcpLinkConfig {
-            secret: Vec::new(),
-            fingerprint: 0,
-            heartbeat_timeout: Duration::from_millis(1500),
-            retransmit_after: Duration::from_millis(250),
-            max_reconnects: 5,
-            chaos: NetChaos::default(),
-        }
-    }
-}
-
-/// How the fleet talks to its workers.
-pub enum FleetLink {
-    /// The original transport: each worker's stdin/stdout.
-    Pipes,
-    /// A bound TCP listener workers dial back into ([`crate::conn`]
-    /// handshake, heartbeats, reconnect-with-resume).
-    Tcp {
-        /// The already-bound listener (bind to port 0 to let the OS
-        /// pick; read the address back before spawning workers).
-        listener: TcpListener,
-        /// Connection supervision parameters.
-        cfg: TcpLinkConfig,
-    },
-}
-
+/// An event from a slot's pump thread, stamped with the process
+/// incarnation it was read from (events of a dead incarnation are
+/// dropped).
 enum PumpEvent {
     Frame {
         slot: usize,
-        gen: u64,
+        incarnation: u64,
         msg: WireMsg,
     },
     Closed {
         slot: usize,
-        gen: u64,
+        incarnation: u64,
         error: Option<Fx10Error>,
     },
-    /// A handshaked socket for `slot` (socket transport only).
-    Attach {
-        slot: usize,
-        boot_id: u64,
-        stream: TcpStream,
-        peer: String,
-    },
-    /// A connection that failed the handshake (already closed).
-    Rejected { peer: String, why: String },
 }
 
 struct Slot {
@@ -189,7 +117,6 @@ struct Slot {
     alive: bool,
     last_heard: Instant,
     idle: bool,
-    visited: u64,
     processed: u64,
     /// Work-bearing frames delivered this incarnation.
     sent: u64,
@@ -198,28 +125,18 @@ struct Slot {
     unacked: Vec<(u64, WireMsg)>,
     owned: Vec<u32>,
     result: Option<Vec<u8>>,
-    /// When the last `FINISH` was sent down this slot's transport —
-    /// the [`FINISH_RETRANSMIT`] cadence gate.
-    finish_tx: Option<Instant>,
     /// Reassembly buffer for a streamed result (`RESULT_PART` frames,
     /// in order; part 0 restarts the stream).
     part_buf: Vec<u8>,
     /// `(total, next expected index)` of an in-progress reassembly.
     part_state: Option<(u32, u32)>,
     ckpt: Option<PathBuf>,
-    /// Connection state machine (socket transport; also provides the
-    /// batch-dedup window on pipes).
-    conn: ConnSupervisor,
-    /// Control handle to the live socket: shutting it down unblocks the
-    /// pump thread and tells the worker to reconnect.
-    ctl: Option<TcpStream>,
 }
 
 struct Round {
     token: u64,
     awaiting: Vec<bool>,
     ok: bool,
-    started: Instant,
 }
 
 /// Picks the migration target: the live slot owning the fewest shards
@@ -254,14 +171,6 @@ where
     round: Option<Round>,
     probe_token: u64,
     finishing: bool,
-    truncated: bool,
-    /// Socket-transport runtime (`None` on pipes).
-    net: Option<NetFleet>,
-}
-
-struct NetFleet {
-    chaos: NetChaos,
-    stop_accept: Arc<AtomicBool>,
 }
 
 impl<S, I, C> Fleet<'_, S, I, C>
@@ -274,44 +183,20 @@ where
         self.events.push(ev);
     }
 
-    /// The generation that stamps pump events for `slot`: the process
-    /// incarnation on pipes, the connection generation on sockets.
-    fn current_gen(&self, slot: usize) -> u64 {
-        if self.net.is_some() {
-            self.slots[slot].conn.gen()
-        } else {
-            self.slots[slot].incarnation
-        }
-    }
-
     /// Spawns (or respawns) the worker process for `slot` and replays
     /// its protocol preamble: `INIT`, then every unacked frame in
-    /// sequence order. On the socket transport the preamble is deferred
-    /// until the worker dials back in ([`Fleet::attach_slot`]).
+    /// sequence order.
     fn spawn_slot(&mut self, slot: usize) -> Result<(), Fx10Error> {
-        let net = self.net.is_some();
         let mut cmd = (self.spawn)(slot);
-        if net {
-            cmd.stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit());
-        } else {
-            cmd.stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit());
-        }
+        cmd.stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit());
         let mut child = cmd.spawn().map_err(|e| Fx10Error::Io {
             path: "<shard spawn>".into(),
             message: e.to_string(),
         })?;
-        let pipes = if net {
-            None
-        } else {
-            Some((
-                child.stdin.take().expect("stdin was piped"),
-                child.stdout.take().expect("stdout was piped"),
-            ))
-        };
+        let stdin = child.stdin.take().expect("stdin was piped");
+        let stdout = child.stdout.take().expect("stdout was piped");
 
         let s = &mut self.slots[slot];
         s.incarnation += 1;
@@ -323,87 +208,12 @@ where
         s.processed = 0;
         s.sent = s.unacked.len() as u64;
         s.result = None;
-        s.finish_tx = None;
         s.part_buf = Vec::new();
         s.part_state = None;
-        s.writer = None;
-        s.ctl = None;
-        s.conn.on_spawn();
+        self.pump_pipes(slot, inc, stdin, stdout);
 
-        let Some((stdin, stdout)) = pipes else {
-            // Socket transport: the worker dials back in and the
-            // handshake produces an `Attach` event; INIT and the
-            // unacked replay happen there.
-            return Ok(());
-        };
-
-        let transport = Box::new(ipc::PipeTransport::new(stdout, stdin, self.cfg.max_frame));
-        self.pump_transport(slot, inc, transport);
-        self.replay_preamble(slot);
-        Ok(())
-    }
-
-    /// Spawns the writer and pump threads for one transport, stamping
-    /// every event with `gen`.
-    fn pump_transport(&mut self, slot: usize, gen: u64, transport: Box<dyn Transport>) {
-        let (mut tx_half, mut rx_half) = transport.split();
-        if let Some(net) = &self.net {
-            if net.chaos.is_active() {
-                tx_half = Box::new(FaultySender::wrap(
-                    tx_half,
-                    ChaosLink::for_conn(&net.chaos, slot as u32, gen, false),
-                ));
-                rx_half = Box::new(FaultyReceiver::wrap(
-                    rx_half,
-                    ChaosLink::for_conn(&net.chaos, slot as u32, gen, true),
-                ));
-            }
-        }
-
-        // Writer thread: owns the write half, drains a frame queue.
-        // Exits on channel close (supervisor dropped it) or a dead peer.
-        let (wtx, wrx) = channel::<Vec<u8>>();
-        self.slots[slot].writer = Some(wtx);
-        thread::spawn(move || {
-            for frame in wrx {
-                if tx_half.send_frame(&frame).is_err() {
-                    break;
-                }
-            }
-        });
-
-        // Pump thread: owns the read half, forwards decoded frames.
-        let tx = self.tx.clone();
-        thread::spawn(move || loop {
-            match rx_half.recv_frame() {
-                Ok(Some(msg)) => {
-                    if tx.send(PumpEvent::Frame { slot, gen, msg }).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => {
-                    let _ = tx.send(PumpEvent::Closed {
-                        slot,
-                        gen,
-                        error: None,
-                    });
-                    return;
-                }
-                Err(e) => {
-                    let _ = tx.send(PumpEvent::Closed {
-                        slot,
-                        gen,
-                        error: Some(e),
-                    });
-                    return;
-                }
-            }
-        });
-    }
-
-    /// (Re)sends the protocol preamble down a fresh transport: `INIT`,
-    /// then every unacked work frame with its original sequence number.
-    fn replay_preamble(&mut self, slot: usize) {
+        // Protocol preamble: INIT, then every unacked work frame with its
+        // original sequence number.
         let attempt = self.slots[slot].attempt;
         let owned = self.slots[slot].owned.clone();
         let body = (self.init_body)(slot, attempt, &owned);
@@ -416,76 +226,68 @@ where
         for m in &replay {
             self.enqueue(slot, m);
         }
-        self.slots[slot].conn.mark_tx();
+        Ok(())
     }
 
-    /// A handshaked socket arrived for `slot`: wire it up, replay the
-    /// preamble, and resume.
-    fn attach_slot(&mut self, slot: usize, boot_id: u64, stream: TcpStream, peer: String) {
-        if slot >= self.slots.len() || !self.slots[slot].alive {
-            let _ = stream.shutdown(Shutdown::Both);
-            self.note(format!(
-                "dropping connection from {peer}: slot {slot} is not live"
-            ));
-            return;
-        }
-        if let Some(old) = self.slots[slot].ctl.take() {
-            let _ = old.shutdown(Shutdown::Both);
-        }
-        let attach = self.slots[slot].conn.on_attach(boot_id);
-        let gen = self.slots[slot].conn.gen();
-        let ctl = stream.try_clone().ok();
-        let max_frame = self.cfg.max_frame;
-        self.slots[slot].ctl = ctl;
-        self.slots[slot].last_heard = Instant::now();
-        let unacked = self.slots[slot].unacked.len();
-        self.note(match attach {
-            Attach::Fresh => format!("worker {slot} connected from {peer}"),
-            Attach::Resumed => format!(
-                "worker {slot} reconnected from {peer} (conn {gen}, replaying {unacked} unacked frame(s))"
-            ),
+    /// Spawns the writer and pump threads for one incarnation's pipes,
+    /// stamping every event with `incarnation`.
+    fn pump_pipes(
+        &mut self,
+        slot: usize,
+        incarnation: u64,
+        stdin: ChildStdin,
+        stdout: ChildStdout,
+    ) {
+        // Writer thread: owns stdin, drains a frame queue. Exits on
+        // channel close (supervisor dropped it) or a broken pipe.
+        let (wtx, wrx) = channel::<Vec<u8>>();
+        self.slots[slot].writer = Some(wtx);
+        thread::spawn(move || {
+            let mut stdin = stdin;
+            for frame in wrx {
+                if ipc::write_frame_bytes(&mut stdin, &frame).is_err() {
+                    break;
+                }
+            }
         });
-        self.pump_transport(slot, gen, Box::new(ipc::TcpTransport::new(stream, max_frame)));
-        self.replay_preamble(slot);
-        // A FINISH (or its RESULT) in flight when the old connection
-        // died is gone: re-issue it on the fresh transport rather than
-        // waiting out the retransmission cadence.
-        if self.finishing && self.slots[slot].result.is_none() {
-            self.slots[slot].finish_tx = Some(Instant::now());
-            self.enqueue(slot, &WireMsg::new(kind::FINISH, 0, Vec::new()));
-        }
-    }
 
-    /// The socket to `slot` died (EOF, error, or heartbeat expiry) but
-    /// the process may well be alive: drop the connection and wait for
-    /// the worker to dial back in, escalating to restart/migration when
-    /// the reconnect budget is spent.
-    fn conn_lost(&mut self, slot: usize, why: &str) -> Result<(), Fx10Error> {
-        // The worker may have died with the connection.
-        let exited = self.slots[slot]
-            .child
-            .as_mut()
-            .is_some_and(|c| matches!(c.try_wait(), Ok(Some(_))));
-        if exited {
-            return self.fail_slot(slot, &format!("exited ({why})"));
-        }
-        self.round = None;
-        let s = &mut self.slots[slot];
-        if let Some(ctl) = s.ctl.take() {
-            let _ = ctl.shutdown(Shutdown::Both);
-        }
-        s.writer = None;
-        let within_budget = s.conn.on_drop_conn();
-        let drops = s.conn.drops();
-        let max = s.conn.max_reconnects;
-        self.note(format!(
-            "worker {slot}: connection lost ({why}); drop {drops}/{max}"
-        ));
-        if within_budget {
-            Ok(())
-        } else {
-            self.fail_slot(slot, "reconnect budget exhausted")
-        }
+        // Pump thread: owns stdout, forwards decoded frames as events.
+        let tx = self.tx.clone();
+        let max_frame = self.cfg.max_frame;
+        thread::spawn(move || {
+            let mut stdout = stdout;
+            loop {
+                let (event, last) = match ipc::read_frame(&mut stdout, max_frame) {
+                    Ok(Some(msg)) => (
+                        PumpEvent::Frame {
+                            slot,
+                            incarnation,
+                            msg,
+                        },
+                        false,
+                    ),
+                    Ok(None) => (
+                        PumpEvent::Closed {
+                            slot,
+                            incarnation,
+                            error: None,
+                        },
+                        true,
+                    ),
+                    Err(e) => (
+                        PumpEvent::Closed {
+                            slot,
+                            incarnation,
+                            error: Some(e),
+                        },
+                        true,
+                    ),
+                };
+                if tx.send(event).is_err() || last {
+                    return;
+                }
+            }
+        });
     }
 
     /// Queues a frame for the slot's writer thread. A closed queue means
@@ -505,15 +307,11 @@ where
         let msg = WireMsg::new(kind, seq, body);
         s.unacked.push((seq, msg.clone()));
         s.sent += 1;
-        s.conn.mark_tx();
         self.enqueue(slot, &msg);
     }
 
     fn reap(&mut self, slot: usize) {
         self.slots[slot].writer = None;
-        if let Some(ctl) = self.slots[slot].ctl.take() {
-            let _ = ctl.shutdown(Shutdown::Both);
-        }
         if let Some(mut child) = self.slots[slot].child.take() {
             let _ = child.kill();
             let _ = child.wait();
@@ -609,19 +407,20 @@ where
     fn handle_frame(&mut self, slot: usize, msg: WireMsg) -> Result<(), Fx10Error> {
         self.slots[slot].last_heard = Instant::now();
         match msg.kind {
-            kind::HELLO => {}
-            kind::BATCH => {
-                // Ack receipt immediately (and re-ack redeliveries —
-                // the worker retransmits until acked on lossy links).
-                self.enqueue(
-                    slot,
-                    &WireMsg::new(kind::ACK, 0, ipc::ack_body(&[msg.seq])),
-                );
-                if !self.slots[slot].conn.admit(msg.seq) {
-                    // A redelivery of a batch already routed: dropping
-                    // it here is what keeps terminals single-counted.
-                    return Ok(());
+            kind::HELLO => match ipc::parse_hello_body(&msg.body) {
+                Ok(ipc::PROTOCOL_VERSION) => {}
+                Ok(v) => {
+                    return self.fail_slot(
+                        slot,
+                        &format!(
+                            "speaks shard protocol v{v}, this supervisor v{}",
+                            ipc::PROTOCOL_VERSION
+                        ),
+                    )
                 }
+                Err(_) => return self.fail_slot(slot, "sent a malformed hello"),
+            },
+            kind::BATCH => {
                 // Any in-flight work invalidates a quiescence round.
                 self.round = None;
                 match ipc::batch_dest(&msg.body) {
@@ -643,7 +442,6 @@ where
             kind::PROGRESS => match ipc::parse_progress_body(&msg.body) {
                 Ok(p) => {
                     let s = &mut self.slots[slot];
-                    s.visited = p.visited;
                     s.processed = p.processed;
                     s.idle = p.idle;
                 }
@@ -660,7 +458,7 @@ where
                                 let ok = r.ok;
                                 self.round = None;
                                 if ok {
-                                    self.begin_finish(false);
+                                    self.begin_finish();
                                 }
                             }
                         }
@@ -668,9 +466,6 @@ where
                 } else {
                     return self.fail_slot(slot, "sent a malformed probe reply");
                 }
-            }
-            kind::RESULT => {
-                self.slots[slot].result = Some(msg.body);
             }
             kind::RESULT_PART => match ipc::parse_result_part_body(&msg.body) {
                 Ok((index, total, chunk)) => {
@@ -685,9 +480,8 @@ where
                             s.part_buf.extend_from_slice(chunk);
                             s.part_state = Some((t, next + 1));
                         }
-                        // Anything else is a duplicate or a tail whose
-                        // head was lost: ignore it — the FINISH
-                        // retransmission restarts the stream.
+                        // Anything else is a tail from an abandoned stream
+                        // (a re-FINISHed worker restarts at part 0).
                     }
                     let s = &mut self.slots[slot];
                     if s.part_state.is_some_and(|(t, next)| next == t) {
@@ -713,41 +507,31 @@ where
             token,
             awaiting,
             ok: true,
-            started: Instant::now(),
         });
     }
 
-    fn begin_finish(&mut self, truncated: bool) {
-        if self.finishing {
-            return;
-        }
+    fn begin_finish(&mut self) {
         self.finishing = true;
-        self.truncated = truncated;
         self.round = None;
-        self.note(if truncated {
-            "progress cap reached; collecting truncated results".into()
-        } else {
-            "fleet quiesced; collecting results".into()
-        });
+        self.note("fleet quiesced; collecting results".into());
         for slot in 0..self.slots.len() {
             if self.slots[slot].alive {
-                self.slots[slot].finish_tx = Some(Instant::now());
+                // A result from an earlier finish round is stale once a
+                // failure reopened the run (a survivor may have adopted
+                // work since). Pipes are FIFO and this round began after
+                // every worker's probe reply, so no part of an older
+                // stream can arrive after this reset.
+                self.slots[slot].result = None;
                 self.enqueue(slot, &WireMsg::new(kind::FINISH, 0, Vec::new()));
             }
         }
     }
 
-    /// Graceful shutdown: stop accepting, close every transport
-    /// (workers exit on EOF), give them a moment, then kill stragglers.
+    /// Graceful shutdown: close every stdin (workers exit on EOF), give
+    /// them a moment, then kill stragglers.
     fn shutdown(&mut self) {
-        if let Some(net) = &self.net {
-            net.stop_accept.store(true, Ordering::Relaxed);
-        }
         for s in &mut self.slots {
             s.writer = None;
-            if let Some(ctl) = s.ctl.take() {
-                let _ = ctl.shutdown(Shutdown::Both);
-            }
         }
         let grace = Instant::now();
         for i in 0..self.slots.len() {
@@ -775,7 +559,7 @@ impl ShardSupervisor {
     /// - `ckpt_path(slot)` names the worker's durable checkpoint file,
     ///   read at migration time.
     ///
-    /// Returns per-slot `RESULT` bodies plus full supervision
+    /// Returns per-slot result bodies plus full supervision
     /// provenance, or the error that ended the run (cancellation,
     /// deadline, or fleet exhaustion) — callers degrade to the next
     /// ladder rung on anything except `Cancelled`.
@@ -786,53 +570,10 @@ impl ShardSupervisor {
         init_body: impl FnMut(usize, u32, &[u32]) -> Vec<u8>,
         ckpt_path: impl Fn(usize) -> Option<PathBuf>,
     ) -> Result<SupervisionReport, Fx10Error> {
-        self.run_linked(cancel, FleetLink::Pipes, spawn, init_body, ckpt_path)
-    }
-
-    /// [`ShardSupervisor::run`] over an explicit transport. With
-    /// [`FleetLink::Tcp`] the workers dial back into the listener
-    /// (spawned with null stdio), every connection passes the
-    /// [`crate::conn`] handshake, and the fleet additionally supervises
-    /// *connections*: heartbeat expiry drops a silent socket, a
-    /// reconnecting worker resumes with its redelivery window intact,
-    /// and exhausted reconnect budgets escalate to the same
-    /// restart/migration machinery pipe failures use.
-    pub fn run_linked(
-        &self,
-        cancel: &CancelToken,
-        link: FleetLink,
-        spawn: impl FnMut(usize) -> Command,
-        init_body: impl FnMut(usize, u32, &[u32]) -> Vec<u8>,
-        ckpt_path: impl Fn(usize) -> Option<PathBuf>,
-    ) -> Result<SupervisionReport, Fx10Error> {
         assert!(self.shards > 0, "a fleet needs at least one shard");
         let (tx, rx) = channel::<PumpEvent>();
         let now = Instant::now();
         let deadline = self.deadline.map(|d| now + d);
-        let (net, link_cfg) = match link {
-            FleetLink::Pipes => (None, TcpLinkConfig::default()),
-            FleetLink::Tcp { listener, cfg } => {
-                let stop = Arc::new(AtomicBool::new(false));
-                accept_loop(
-                    listener,
-                    conn::HandshakeConfig {
-                        secret: cfg.secret.clone(),
-                        fingerprint: cfg.fingerprint,
-                        shards: self.shards as u32,
-                        max_frame: self.max_frame,
-                    },
-                    tx.clone(),
-                    Arc::clone(&stop),
-                );
-                (
-                    Some(NetFleet {
-                        chaos: cfg.chaos,
-                        stop_accept: stop,
-                    }),
-                    cfg,
-                )
-            }
-        };
         let mut fleet = Fleet {
             cfg: self,
             spawn,
@@ -848,23 +589,15 @@ impl ShardSupervisor {
                     alive: false,
                     last_heard: now,
                     idle: false,
-                    visited: 0,
                     processed: 0,
                     sent: 0,
                     next_seq: 0,
                     unacked: Vec::new(),
                     owned: vec![i as u32],
                     result: None,
-                    finish_tx: None,
                     part_buf: Vec::new(),
                     part_state: None,
                     ckpt: None,
-                    conn: ConnSupervisor::new(
-                        link_cfg.heartbeat_timeout,
-                        link_cfg.retransmit_after,
-                        link_cfg.max_reconnects,
-                    ),
-                    ctl: None,
                 })
                 .collect(),
             owner: (0..self.shards).collect(),
@@ -876,8 +609,6 @@ impl ShardSupervisor {
             round: None,
             probe_token: 0,
             finishing: false,
-            truncated: false,
-            net,
         };
         for i in 0..self.shards {
             fleet.slots[i].ckpt = (fleet.ckpt_path)(i);
@@ -891,7 +622,6 @@ impl ShardSupervisor {
                     events: std::mem::take(&mut fleet.events),
                     restarts: fleet.restarts,
                     migrations: fleet.migrations,
-                    truncated: fleet.truncated,
                 }),
                 Err(e) => Err(e),
             }
@@ -907,43 +637,31 @@ impl ShardSupervisor {
 
         loop {
             match rx.recv_timeout(self.poll) {
-                Ok(PumpEvent::Frame { slot, gen, msg }) => {
-                    if fleet.slots[slot].alive && fleet.current_gen(slot) == gen {
+                Ok(PumpEvent::Frame {
+                    slot,
+                    incarnation,
+                    msg,
+                }) => {
+                    if fleet.slots[slot].alive && fleet.slots[slot].incarnation == incarnation {
                         if let Err(e) = fleet.handle_frame(slot, msg) {
                             return finish(fleet, Err(e));
                         }
                     }
                 }
-                Ok(PumpEvent::Closed { slot, gen, error }) => {
-                    if fleet.slots[slot].alive && fleet.current_gen(slot) == gen {
-                        let r = if fleet.net.is_some() {
-                            let why = match error {
-                                Some(e) => format!("socket failed ({e})"),
-                                None => "peer closed".into(),
-                            };
-                            fleet.conn_lost(slot, &why)
-                        } else {
-                            let why = match error {
-                                Some(e) => format!("pipe failed ({e})"),
-                                None => "exited".into(),
-                            };
-                            fleet.fail_slot(slot, &why)
+                Ok(PumpEvent::Closed {
+                    slot,
+                    incarnation,
+                    error,
+                }) => {
+                    if fleet.slots[slot].alive && fleet.slots[slot].incarnation == incarnation {
+                        let why = match error {
+                            Some(e) => format!("pipe failed ({e})"),
+                            None => "exited".into(),
                         };
-                        if let Err(e) = r {
+                        if let Err(e) = fleet.fail_slot(slot, &why) {
                             return finish(fleet, Err(e));
                         }
                     }
-                }
-                Ok(PumpEvent::Attach {
-                    slot,
-                    boot_id,
-                    stream,
-                    peer,
-                }) => {
-                    fleet.attach_slot(slot, boot_id, stream, peer);
-                }
-                Ok(PumpEvent::Rejected { peer, why }) => {
-                    fleet.note(format!("rejected connection from {peer}: {why}"));
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => unreachable!("fleet holds a sender"),
@@ -955,71 +673,6 @@ impl ShardSupervisor {
             if let Some(d) = deadline {
                 if Instant::now() > d {
                     return finish(fleet, Err(Fx10Error::BudgetExhausted(Exhaustion::Deadline)));
-                }
-            }
-
-            // Connection supervision (socket transport): drop silent
-            // connections, retransmit unacked work, re-send FINISH to
-            // result-less workers — all idempotent on the worker side.
-            if fleet.net.is_some() {
-                for slot in 0..fleet.slots.len() {
-                    let s = &fleet.slots[slot];
-                    if !s.alive {
-                        continue;
-                    }
-                    if s.conn.heartbeat_expired(s.last_heard) {
-                        let silent_ms = s.last_heard.elapsed().as_millis();
-                        if let Err(e) = fleet
-                            .conn_lost(slot, &format!("heartbeat silent for {silent_ms}ms"))
-                        {
-                            return finish(fleet, Err(e));
-                        }
-                        continue;
-                    }
-                    if s.conn.retransmit_due() {
-                        if fleet.finishing && s.result.is_none() {
-                            // Gentler cadence than work retransmission:
-                            // every duplicate FINISH elicits a full
-                            // (possibly huge) RESULT re-send.
-                            let due = s
-                                .finish_tx
-                                .map_or(true, |t| t.elapsed() >= FINISH_RETRANSMIT);
-                            if due {
-                                fleet.slots[slot].conn.mark_tx();
-                                fleet.slots[slot].finish_tx = Some(Instant::now());
-                                fleet.enqueue(slot, &WireMsg::new(kind::FINISH, 0, Vec::new()));
-                            }
-                        } else if !fleet.finishing && s.idle && !s.unacked.is_empty() {
-                            // Replay unacked work only to a worker that
-                            // reports *idle*: a busy worker acks at its
-                            // own checkpoint cadence, and replaying the
-                            // whole window into it every retransmit
-                            // period would bury it in duplicates faster
-                            // than it can drain them. An idle worker
-                            // with unacked frames, by contrast, is
-                            // evidence of loss — it has nothing left to
-                            // do, so the frames (or their acks) died on
-                            // the wire.
-                            fleet.slots[slot].conn.mark_tx();
-                            let replay: Vec<WireMsg> = fleet.slots[slot]
-                                .unacked
-                                .iter()
-                                .map(|(_, m)| m.clone())
-                                .collect();
-                            for m in &replay {
-                                fleet.enqueue(slot, m);
-                            }
-                        }
-                    }
-                }
-                // A quiescence round whose PROBE or reply was lost must
-                // not wedge the run: abandon it and re-probe.
-                if fleet
-                    .round
-                    .as_ref()
-                    .is_some_and(|r| r.started.elapsed() > ROUND_TIMEOUT)
-                {
-                    fleet.round = None;
                 }
             }
 
@@ -1038,29 +691,16 @@ impl ShardSupervisor {
                 }
             }
 
-            if let Some(cap) = self.progress_cap {
-                let total: u64 = fleet
-                    .slots
-                    .iter()
-                    .filter(|s| s.alive)
-                    .map(|s| s.visited)
-                    .sum();
-                if total >= cap && !fleet.finishing {
-                    fleet.begin_finish(true);
-                }
-            }
-
             if fleet.finishing {
                 let done = fleet.slots.iter().all(|s| !s.alive || s.result.is_some());
                 if done {
                     return finish(fleet, Ok(()));
                 }
             } else if fleet.round.is_none() {
-                let connected = |s: &Slot| fleet.net.is_none() || s.conn.connected();
                 let quiet = fleet
                     .slots
                     .iter()
-                    .all(|s| !s.alive || (connected(s) && s.idle && s.processed == s.sent));
+                    .all(|s| !s.alive || (s.idle && s.processed == s.sent));
                 let any_alive = fleet.slots.iter().any(|s| s.alive);
                 if quiet && any_alive {
                     fleet.begin_probe();
@@ -1068,72 +708,6 @@ impl ShardSupervisor {
             }
         }
     }
-}
-
-/// Spawns the accept thread: handshake every incoming connection and
-/// forward the verdict as an `Attach` or `Rejected` event. Handshakes
-/// run serially under a read deadline — a half-open dialer cannot wedge
-/// the fleet for longer than the deadline.
-fn accept_loop(
-    listener: TcpListener,
-    cfg: conn::HandshakeConfig,
-    tx: Sender<PumpEvent>,
-    stop: Arc<AtomicBool>,
-) {
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking mode");
-    thread::spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            let (stream, peer) = match listener.accept() {
-                Ok(ok) => ok,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-                Err(_) => {
-                    thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            };
-            let peer = peer.to_string();
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(3)));
-            let mut io = match stream.try_clone() {
-                Ok(io) => io,
-                Err(_) => continue,
-            };
-            match conn::server_handshake(&mut io, &cfg, conn::fresh_nonce()) {
-                Ok(info) => {
-                    let _ = stream.set_read_timeout(None);
-                    if tx
-                        .send(PumpEvent::Attach {
-                            slot: info.slot as usize,
-                            boot_id: info.boot_id,
-                            stream,
-                            peer,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    if tx
-                        .send(PumpEvent::Rejected {
-                            peer,
-                            why: e.to_string(),
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]

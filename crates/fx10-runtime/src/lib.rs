@@ -7,7 +7,7 @@
 //! detector ([`detect`]):
 //!
 //! * [`run_parallel`] — a std-only work-stealing scheduler (per-worker
-//!   deques + injector, help-first `finish` latches, granularity
+//!   deques, help-first `finish` latches, granularity
 //!   control, panic isolation) executing `async` bodies on a real
 //!   thread crew;
 //! * [`run_elision`] — sequential elision, the classic fork-join

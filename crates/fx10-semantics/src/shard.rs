@@ -20,21 +20,27 @@
 //!   tree shape — never interner ids).
 //! - [`shard_of`]: maps a digest to a shard by range (multiply-shift,
 //!   no modulo bias).
-//! - [`ShardInit`] / [`ShardResult`]: the `INIT` / `RESULT` bodies,
-//!   encoded as single-section FX10SNAP containers so a corrupted body
-//!   is a typed [`SnapshotError`], never a panic.
+//! - [`ShardInit`] / [`ShardResult`]: the `INIT` body and the result
+//!   body (streamed back as `RESULT_PART` frames), encoded as
+//!   single-section FX10SNAP containers so a corrupted body is a typed
+//!   [`SnapshotError`], never a panic.
 //! - [`shard_worker_main`]: the child-process event loop behind
-//!   `fx10 shard-worker` — expand, route, batch, checkpoint, ack.
-//! - [`shard_worker_net`]: the same event loop behind
-//!   `fx10 shard-worker --connect`, dialing the supervisor over TCP
-//!   with the [`fx10_robust::conn`] handshake, reconnecting with
-//!   decorrelated backoff, and retransmitting unacked batches — the
-//!   transport may lose, duplicate or delay frames without changing
-//!   the answer.
+//!   `fx10 shard-worker` — expand, route, batch, checkpoint, ack — over
+//!   the worker's stdin/stdout pipes.
 //! - [`explore_sharded`]: the parent-side orchestration wrapping
 //!   [`ShardSupervisor`] and merging the per-shard results into one
-//!   [`Exploration`]; `ShardedOptions::listen` switches the fleet from
-//!   stdio pipes to the socket transport.
+//!   [`Exploration`].
+//!
+//! ## The state cap
+//!
+//! `INIT` carries the run's `max_states`. Each worker stops admitting
+//! new states once it holds its share `⌈max_states·owned/shards⌉`,
+//! stops expanding, and tags its result truncated; the fleet's answer is
+//! truncated if any worker's is. The shares sum to less than
+//! `max_states + shards`, so a sharded run never overshoots the cap by
+//! more than one state per shard. A shard whose digest range holds more
+//! than its share reports truncation even when the whole space would fit
+//! under the cap in one process.
 //!
 //! ## Crash-correctness invariants (shared with `fx10-robust::shard`)
 //!
@@ -58,19 +64,17 @@ use crate::intern::{state_key, state_parts, ArrayId, Interner, StmtId, TNode, Tr
 use crate::snapshot::{fingerprint, ExplorerSnapshot};
 use crate::state::ArrayState;
 use crate::step::initial_tree;
-use fx10_robust::backoff::{RestartPolicy, XorShift64};
-use fx10_robust::conn::{self, NetChaos};
+use fx10_robust::backoff::RestartPolicy;
 use fx10_robust::ipc::{self, kind, WireMsg};
-use fx10_robust::shard::{FleetLink, ShardSupervisor, TcpLinkConfig};
+use fx10_robust::shard::ShardSupervisor;
 use fx10_robust::snapshot::{fnv1a64, SectionBuf, Snapshot, SnapshotError, SnapshotWriter};
 use fx10_robust::{CancelToken, Exhaustion, Fx10Error};
 use fx10_syntax::{Label, Program};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender, TryRecvError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -257,9 +261,12 @@ pub struct ShardInit {
     /// Checkpoint after this many newly inserted states (0 = only the
     /// idle-time checkpoints that release acks).
     pub ckpt_every: u64,
-    /// Collect canonical state renderings into the `RESULT` (the
+    /// Collect canonical state renderings into the result (the
     /// differential-oracle hook).
     pub collect: bool,
+    /// The run's state cap; each worker keeps to its share of it (see
+    /// the module docs).
+    pub max_states: u64,
     /// Fault injection for this incarnation.
     pub chaos: ShardChaos,
 }
@@ -286,6 +293,7 @@ pub fn encode_init(init: &ShardInit) -> Vec<u8> {
     b.put_bytes(init.ckpt_path.as_bytes());
     b.put_u64(init.ckpt_every);
     b.put_u8(init.collect as u8);
+    b.put_u64(init.max_states);
     match init.chaos.kill_after_ckpt {
         Some(n) => {
             b.put_u8(1);
@@ -347,6 +355,7 @@ pub fn decode_init(body: &[u8]) -> Result<ShardInit, SnapshotError> {
     let ckpt_path = get_string(&mut c)?;
     let ckpt_every = c.get_u64()?;
     let collect = c.get_u8()? != 0;
+    let max_states = c.get_u64()?;
     let kill_after_ckpt = if c.get_u8()? != 0 {
         Some(c.get_u32()?)
     } else {
@@ -373,6 +382,7 @@ pub fn decode_init(body: &[u8]) -> Result<ShardInit, SnapshotError> {
         ckpt_path,
         ckpt_every,
         collect,
+        max_states,
         chaos: ShardChaos {
             kill_after_ckpt,
             wedge_after_states,
@@ -380,8 +390,8 @@ pub fn decode_init(body: &[u8]) -> Result<ShardInit, SnapshotError> {
     })
 }
 
-/// The decoded body of a `RESULT` frame: one shard's share of the
-/// exploration answer.
+/// The decoded result body: one shard's share of the exploration
+/// answer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardResult {
     /// Distinct states this worker inserted.
@@ -390,6 +400,8 @@ pub struct ShardResult {
     pub terminals: u64,
     /// Theorem 1 verdict over this worker's states.
     pub deadlock_free: bool,
+    /// Did this worker reach its share of the state cap?
+    pub truncated: bool,
     /// `∪ parallel(T)` over this worker's visited trees, as raw label
     /// pairs.
     pub pairs: Vec<(u32, u32)>,
@@ -403,6 +415,7 @@ pub fn encode_result(r: &ShardResult) -> Vec<u8> {
     b.put_u64(r.visited);
     b.put_u64(r.terminals);
     b.put_u8(r.deadlock_free as u8);
+    b.put_u8(r.truncated as u8);
     b.put_usize(r.pairs.len());
     for &(x, y) in &r.pairs {
         b.put_u32(x);
@@ -418,13 +431,14 @@ pub fn encode_result(r: &ShardResult) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a `RESULT` body.
+/// Decodes a result body.
 pub fn decode_result(body: &[u8]) -> Result<ShardResult, SnapshotError> {
     let snap = Snapshot::parse(body)?;
     let mut c = snap.section(SEC_RESULT)?;
     let visited = c.get_u64()?;
     let terminals = c.get_u64()?;
     let deadlock_free = c.get_u8()? != 0;
+    let truncated = c.get_u8()? != 0;
     let n = c.get_usize()?;
     check_count(n, 8, &c)?;
     let pairs = (0..n)
@@ -441,6 +455,7 @@ pub fn decode_result(body: &[u8]) -> Result<ShardResult, SnapshotError> {
         visited,
         terminals,
         deadlock_free,
+        truncated,
         pairs,
         renders,
     })
@@ -457,9 +472,7 @@ const SLICE: usize = 256;
 const BATCH_FLUSH: usize = 512;
 /// Progress-heartbeat cadence.
 const PROGRESS_EVERY: Duration = Duration::from_millis(100);
-/// Retransmission cadence for unacked batches on a lossy link.
-const RETRANSMIT_EVERY: Duration = Duration::from_millis(300);
-/// States rendered per heartbeat check while collecting a `RESULT`
+/// States rendered per heartbeat check while collecting the result
 /// (rendering is microseconds per state, so this checks the clock
 /// every few milliseconds).
 const RENDER_CHUNK: usize = 2048;
@@ -470,225 +483,17 @@ enum In {
     Fail(Fx10Error),
 }
 
-/// Reads frames off `input` into `tx` until EOF or an error; shared by
-/// the pipe reader and the per-connection socket readers.
-fn pump_frames(mut input: impl Read, tx: Sender<In>, max_len: usize) {
+/// Reads frames off `input` into `tx` until EOF or an error.
+fn pump_frames(mut input: impl Read, tx: Sender<In>) {
     loop {
-        match ipc::read_frame(&mut input, max_len) {
-            Ok(Some(m)) => {
-                if tx.send(In::Msg(m)).is_err() {
-                    return;
-                }
-            }
-            Ok(None) => {
-                let _ = tx.send(In::Eof);
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(In::Fail(e));
-                return;
-            }
-        }
-    }
-}
-
-/// How a worker process reaches its supervisor.
-///
-/// Pipes (the original transport) are reliable and never reconnect: an
-/// EOF means the supervisor is done with us. Sockets are lossy under
-/// chaos and survive disconnection by re-dialing; the worker's ARQ
-/// layer (dedup window + retained unacked batches) sits above this
-/// trait, so links are free to drop frames on a broken connection.
-trait WorkerLink {
-    /// Writes one already-encoded frame. On a socket link a write
-    /// failure is *not* an error: the frame is dropped, the link severs
-    /// the stream, and the receive path reports the disconnect — every
-    /// frame the protocol cannot afford to lose is retained and
-    /// retransmitted above this layer.
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error>;
-    /// Next inbound event; `timeout: None` polls without blocking.
-    fn recv(&mut self, timeout: Option<Duration>) -> Option<In>;
-    /// Does the transport guarantee in-order, loss-free delivery?
-    fn reliable(&self) -> bool;
-    /// Re-establishes a broken link (socket links only).
-    fn reconnect(&mut self) -> Result<(), Fx10Error>;
-    /// Records the program fingerprint carried by reconnect handshakes.
-    fn set_fingerprint(&mut self, fp: u64);
-}
-
-/// The stdio transport: a reader thread pumping stdin, writes straight
-/// to stdout.
-struct PipeLink<W: Write> {
-    rx: Receiver<In>,
-    out: W,
-}
-
-impl<W: Write> PipeLink<W> {
-    fn spawn<R: Read + Send + 'static>(input: R, out: W) -> PipeLink<W> {
-        let (tx, rx) = channel();
-        thread::spawn(move || pump_frames(input, tx, ipc::MAX_FRAME_LEN));
-        PipeLink { rx, out }
-    }
-}
-
-impl<W: Write> WorkerLink for PipeLink<W> {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error> {
-        ipc::write_frame_bytes(&mut self.out, frame)
-    }
-
-    fn recv(&mut self, timeout: Option<Duration>) -> Option<In> {
-        match timeout {
-            Some(d) => match self.rx.recv_timeout(d) {
-                Ok(ev) => Some(ev),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => Some(In::Eof),
-            },
-            None => match self.rx.try_recv() {
-                Ok(ev) => Some(ev),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(In::Eof),
-            },
-        }
-    }
-
-    fn reliable(&self) -> bool {
-        true
-    }
-
-    fn reconnect(&mut self) -> Result<(), Fx10Error> {
-        Err(Fx10Error::Io {
-            path: "<shard pipe>".into(),
-            message: "pipes cannot reconnect".into(),
-        })
-    }
-
-    fn set_fingerprint(&mut self, _fp: u64) {}
-}
-
-/// Options of a socket-mode worker (`fx10 shard-worker --connect`).
-#[derive(Debug, Clone)]
-pub struct NetWorkerOptions {
-    /// The supervisor's listen address.
-    pub addr: SocketAddr,
-    /// This worker's shard slot (must be below the fleet's shard count).
-    pub slot: u32,
-    /// Shared handshake secret (empty = structural checks only).
-    pub secret: Vec<u8>,
-    /// Dial attempts allowed per disconnection (0 = try once, fail fast).
-    pub reconnects: u32,
-}
-
-/// The socket transport: dials the supervisor, handshakes via
-/// [`fx10_robust::conn`], and re-dials with decorrelated backoff when
-/// the connection drops. Each connection gets a fresh reader thread and
-/// channel; replacing the channel discards any stale events a dying
-/// reader raced in.
-struct NetLink {
-    addr: SocketAddr,
-    secret: Vec<u8>,
-    slot: u32,
-    /// Random per-process id: lets the supervisor tell a reconnecting
-    /// process (keep the dedup window) from a respawn (reset it).
-    boot_id: u64,
-    fingerprint: u64,
-    attempts: u32,
-    rng: XorShift64,
-    prev_backoff: Duration,
-    stream: Option<TcpStream>,
-    rx: Receiver<In>,
-}
-
-impl NetLink {
-    fn connect(opts: &NetWorkerOptions) -> Result<NetLink, Fx10Error> {
-        // Placeholder channel; `reconnect` installs the real one.
-        let (_tx, rx) = channel();
-        let mut link = NetLink {
-            addr: opts.addr,
-            secret: opts.secret.clone(),
-            slot: opts.slot,
-            boot_id: conn::fresh_nonce(),
-            fingerprint: 0,
-            attempts: opts.reconnects,
-            rng: XorShift64::new(conn::fresh_nonce()),
-            prev_backoff: Duration::ZERO,
-            stream: None,
-            rx,
+        let (event, last) = match ipc::read_frame(&mut input, ipc::MAX_FRAME_LEN) {
+            Ok(Some(m)) => (In::Msg(m), false),
+            Ok(None) => (In::Eof, true),
+            Err(e) => (In::Fail(e), true),
         };
-        link.reconnect()?;
-        Ok(link)
-    }
-}
-
-impl WorkerLink for NetLink {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error> {
-        // A broken socket is not fatal: drop the frame, sever the
-        // stream, and let the receive path drive a reconnect.
-        if let Some(s) = &mut self.stream {
-            if ipc::write_frame_bytes(s, frame).is_err() {
-                let _ = s.shutdown(Shutdown::Both);
-                self.stream = None;
-            }
+        if tx.send(event).is_err() || last {
+            return;
         }
-        Ok(())
-    }
-
-    fn recv(&mut self, timeout: Option<Duration>) -> Option<In> {
-        let ev = match timeout {
-            Some(d) => match self.rx.recv_timeout(d) {
-                Ok(ev) => Some(ev),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => Some(In::Eof),
-            },
-            None => match self.rx.try_recv() {
-                Ok(ev) => Some(ev),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(In::Eof),
-            },
-        };
-        match ev {
-            // A send failure severed the stream; surface it as an EOF
-            // even if the old reader thread is still winding down.
-            None if self.stream.is_none() => Some(In::Eof),
-            ev => ev,
-        }
-    }
-
-    fn reliable(&self) -> bool {
-        false
-    }
-
-    fn reconnect(&mut self) -> Result<(), Fx10Error> {
-        if let Some(s) = self.stream.take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        let hello = ipc::Hello {
-            proto: ipc::PROTOCOL_VERSION,
-            slot: self.slot,
-            boot_id: self.boot_id,
-            fingerprint: self.fingerprint,
-        };
-        let stream = conn::connect_with_retry(
-            &self.addr,
-            &self.secret,
-            &hello,
-            ipc::MAX_FRAME_LEN,
-            self.attempts,
-            &mut self.rng,
-            &mut self.prev_backoff,
-        )?;
-        let reader = stream.try_clone().map_err(|e| Fx10Error::Io {
-            path: self.addr.to_string(),
-            message: e.to_string(),
-        })?;
-        let (tx, rx) = channel();
-        thread::spawn(move || pump_frames(reader, tx, ipc::MAX_FRAME_LEN));
-        self.rx = rx;
-        self.stream = Some(stream);
-        Ok(())
-    }
-
-    fn set_fingerprint(&mut self, fp: u64) {
-        self.fingerprint = fp;
     }
 }
 
@@ -699,6 +504,11 @@ struct Worker {
     normalize: bool,
     shards: u32,
     owned: Vec<bool>,
+    /// The fleet-wide state cap from `INIT`.
+    max_states: u64,
+    /// This worker's share of it, `⌈max_states·owned/shards⌉`;
+    /// recomputed whenever ownership changes.
+    cap: u64,
     visited: HashSet<u64>,
     frontier: VecDeque<u64>,
     terminals: u64,
@@ -723,22 +533,11 @@ struct Worker {
     out_seq: u64,
     finished: bool,
     seed: (ArrayId, TreeId),
-    /// Does the link guarantee delivery? Pipes do; sockets under chaos
-    /// do not, which switches on the worker-side ARQ below.
-    reliable: bool,
-    /// Supervisor work-frame seqs already applied — the socket
-    /// redelivery dedup window (a retransmitted `BATCH`/`ADOPT` is
-    /// re-acked but never re-processed, so `processed` stays in step
-    /// with the supervisor's `sent`).
-    seen_seqs: HashSet<u64>,
-    /// Batch frames sent but not yet acked by the supervisor, retained
-    /// verbatim for retransmission on lossy links.
-    sent_unacked: Vec<(u64, Vec<u8>)>,
-    /// Encoded `RESULT` body, computed once per finish round. A large
+    /// Encoded result body, computed once per finish round. A large
     /// collected result (hundreds of thousands of renders) costs whole
-    /// seconds to build; a retransmitted `FINISH` must re-send bytes,
-    /// not redo that work, or the duplicates queue up faster than they
-    /// can be answered. Invalidated by any frame that adds work.
+    /// seconds to build; a `FINISH` re-sent after a sibling's restart
+    /// must re-send bytes, not redo that work. Invalidated by any frame
+    /// that adds work.
     result_body: Option<Vec<u8>>,
 }
 
@@ -759,19 +558,15 @@ impl Worker {
         if init.normalize_admin {
             t0 = it.normalized(t0);
         }
-        let mut owned = vec![false; init.shards as usize];
-        for &s in &init.owned {
-            if let Some(o) = owned.get_mut(s as usize) {
-                *o = true;
-            }
-        }
-        Ok(Worker {
+        let mut w = Worker {
             p,
             it,
             dig: StateDigests::new(),
             normalize: init.normalize_admin,
             shards: init.shards,
-            owned,
+            owned: vec![false; init.shards as usize],
+            max_states: init.max_states,
+            cap: 0,
             visited: HashSet::new(),
             frontier: VecDeque::new(),
             terminals: 0,
@@ -791,17 +586,39 @@ impl Worker {
             out_seq: 0,
             finished: false,
             seed: (a0, t0),
-            reliable: true,
-            seen_seqs: HashSet::new(),
-            sent_unacked: Vec::new(),
             result_body: None,
-        })
+        };
+        w.own(&init.owned);
+        Ok(w)
+    }
+
+    /// Takes ownership of `shards` and recomputes the cap share.
+    fn own(&mut self, shards: &[u32]) {
+        for &s in shards {
+            if let Some(o) = self.owned.get_mut(s as usize) {
+                *o = true;
+            }
+        }
+        let owned = self.owned.iter().filter(|&&o| o).count() as u128;
+        let share = (self.max_states as u128 * owned).div_ceil(self.shards as u128);
+        self.cap = share.min(u64::MAX as u128) as u64;
+    }
+
+    /// Has this worker reached its share of the state cap? A worker at
+    /// its share admits nothing new and expands nothing more, and its
+    /// result is tagged truncated.
+    fn at_cap(&self) -> bool {
+        self.visited.len() as u64 >= self.cap
     }
 
     /// Inserts a state into the visited set; counts terminals at
     /// insertion (replay-idempotent — see the module docs) and queues
-    /// non-terminal states for expansion.
+    /// non-terminal states for expansion. New states past the cap share
+    /// are dropped.
     fn admit(&mut self, key: u64) {
+        if self.at_cap() {
+            return;
+        }
         if self.visited.insert(key) {
             self.since_ckpt += 1;
             let (_, t) = state_parts(key);
@@ -873,40 +690,16 @@ impl Worker {
         Ok(())
     }
 
-    /// Writes one frame through the link (the link flushes — frames are
-    /// the heartbeat channel, and a buffered frame looks like a stall).
-    /// `BATCH` frames on a lossy link are retained verbatim until the
-    /// supervisor acks their sequence number.
-    fn send<L: WorkerLink>(
-        &mut self,
-        link: &mut L,
-        kind_: u32,
-        body: Vec<u8>,
-    ) -> Result<(), Fx10Error> {
+    /// Writes one frame and flushes (frames are the heartbeat channel,
+    /// and a buffered frame looks like a stall).
+    fn send(&mut self, out: &mut impl Write, kind_: u32, body: Vec<u8>) -> Result<(), Fx10Error> {
         self.out_seq += 1;
-        let frame = WireMsg::new(kind_, self.out_seq, body).frame();
-        if kind_ == kind::BATCH && !self.reliable {
-            self.sent_unacked.push((self.out_seq, frame.clone()));
-        }
-        link.send_frame(&frame)
-    }
-
-    /// Re-sends every unacked batch frame verbatim (same seqs — the
-    /// supervisor's dedup window absorbs redundant deliveries).
-    fn retransmit<L: WorkerLink>(&mut self, link: &mut L) -> Result<(), Fx10Error> {
-        for (_, frame) in &self.sent_unacked {
-            link.send_frame(frame)?;
-        }
-        Ok(())
+        ipc::write_frame(out, &WireMsg::new(kind_, self.out_seq, body))
     }
 
     /// Flushes outboxes as `BATCH` frames — all of them, or only those
     /// past the batching threshold.
-    fn flush_outboxes<L: WorkerLink>(
-        &mut self,
-        link: &mut L,
-        only_full: bool,
-    ) -> Result<(), Fx10Error> {
+    fn flush_outboxes(&mut self, out: &mut impl Write, only_full: bool) -> Result<(), Fx10Error> {
         for s in 0..self.outbox.len() {
             let n = self.outbox[s].len();
             if n == 0 || (only_full && n < BATCH_FLUSH) {
@@ -915,7 +708,7 @@ impl Worker {
             let keys = std::mem::take(&mut self.outbox[s]);
             let snap = ExplorerSnapshot::capture_batch(&self.it, self.fingerprint, &keys);
             let body = ipc::batch_body(s as u32, &snap.to_bytes());
-            self.send(link, kind::BATCH, body)?;
+            self.send(out, kind::BATCH, body)?;
         }
         Ok(())
     }
@@ -924,13 +717,10 @@ impl Worker {
         self.outbox.iter().all(|o| o.is_empty())
     }
 
-    /// Is this worker quiescent from the supervisor's point of view?
-    /// On a lossy link an unacked batch may still be *lost*, so idleness
-    /// additionally requires the retransmission buffer to be empty.
+    /// Is this worker quiescent from the supervisor's point of view? A
+    /// worker at its cap share has nothing left it may do.
     fn idle(&self) -> bool {
-        self.frontier.is_empty()
-            && self.outboxes_empty()
-            && (self.reliable || self.sent_unacked.is_empty())
+        (self.frontier.is_empty() || self.at_cap()) && self.outboxes_empty()
     }
 
     /// Durably checkpoints and only then acks the frames the checkpoint
@@ -938,52 +728,45 @@ impl Worker {
     /// (invariant 1), the save is atomic, and acks release supervisor
     /// retention last (invariant 2). The kill-chaos hook fires *between*
     /// save and ack — the nastiest window a real crash can hit.
-    fn checkpoint<L: WorkerLink>(&mut self, link: &mut L) -> Result<(), Fx10Error> {
-        self.flush_outboxes(link, false)?;
-        // Ack-only fast path (lossy links): when nothing has been
-        // inserted since the last durable save, every state the pending
-        // acks cover is already on disk, and re-saving an identical
-        // visited set per deduped redelivery would turn a retransmission
-        // burst into a disk-write storm. Pipe mode keeps the
-        // unconditional save so the chaos hooks' checkpoint counting is
-        // unchanged.
-        let save = self.reliable || self.since_ckpt > 0 || self.ckpt_count == 0;
-        if save {
-            let visited: Vec<u64> = self.visited.iter().copied().collect();
-            let frontier: Vec<u64> = self.frontier.iter().copied().collect();
-            let snap = ExplorerSnapshot::capture(
-                &self.it,
-                self.fingerprint,
-                self.terminals,
-                self.deadlock_free,
-                0,
-                visited,
-                frontier,
-            );
-            snap.save(&self.ckpt_path)?;
-            self.since_ckpt = 0;
-            self.ckpt_count += 1;
-        }
-        if save
-            && self
-                .chaos
-                .kill_after_ckpt
-                .is_some_and(|n| self.ckpt_count >= n)
+    fn checkpoint(&mut self, out: &mut impl Write) -> Result<(), Fx10Error> {
+        self.flush_outboxes(out, false)?;
+        let visited: Vec<u64> = self.visited.iter().copied().collect();
+        let frontier: Vec<u64> = self.frontier.iter().copied().collect();
+        let snap = ExplorerSnapshot::capture(
+            &self.it,
+            self.fingerprint,
+            self.terminals,
+            self.deadlock_free,
+            0,
+            visited,
+            frontier,
+        );
+        snap.save(&self.ckpt_path)?;
+        self.since_ckpt = 0;
+        self.ckpt_count += 1;
+        if self
+            .chaos
+            .kill_after_ckpt
+            .is_some_and(|n| self.ckpt_count >= n)
         {
             // Simulated SIGKILL: checkpoint written, acks not sent.
             std::process::exit(9);
         }
         if !self.pending_ack.is_empty() {
             let acks = std::mem::take(&mut self.pending_ack);
-            self.send(link, kind::ACK, ipc::ack_body(&acks))?;
+            self.send(out, kind::ACK, ipc::ack_body(&acks))?;
         }
         Ok(())
     }
 
-    /// Expands up to [`SLICE`] frontier states.
+    /// Expands up to [`SLICE`] frontier states, stopping at the cap
+    /// share.
     fn expand_slice(&mut self) {
         let mut succ: Vec<(ArrayId, TreeId)> = Vec::new();
         for _ in 0..SLICE {
+            if self.at_cap() {
+                break;
+            }
             let Some(key) = self.frontier.pop_front() else {
                 break;
             };
@@ -1008,23 +791,23 @@ impl Worker {
         }
     }
 
-    /// Sends a `PROGRESS` frame — the heartbeat the supervisor's
-    /// connection supervision and wedge detection listen for.
-    fn heartbeat<L: WorkerLink>(&mut self, link: &mut L) -> Result<(), Fx10Error> {
+    /// Sends a `PROGRESS` frame — the heartbeat the supervisor's wedge
+    /// detection listens for.
+    fn heartbeat(&mut self, out: &mut impl Write) -> Result<(), Fx10Error> {
         let p = ipc::Progress {
             visited: self.visited.len() as u64,
             processed: self.processed,
             idle: self.idle(),
         };
-        self.send(link, kind::PROGRESS, ipc::progress_body(&p))
+        self.send(out, kind::PROGRESS, ipc::progress_body(&p))
     }
 
     /// One shard's share of the answer. Collecting renders for a large
     /// visited set takes whole seconds, so the render loop interleaves
     /// `PROGRESS` heartbeats — without them the supervisor reads the
-    /// busy stretch as a dead connection (and then a wedged process)
-    /// and kills a healthy worker mid-answer.
-    fn collect_result<L: WorkerLink>(&mut self, link: &mut L) -> Result<ShardResult, Fx10Error> {
+    /// busy stretch as a wedged process and kills a healthy worker
+    /// mid-answer.
+    fn collect_result(&mut self, out: &mut impl Write) -> Result<ShardResult, Fx10Error> {
         let trees: HashSet<TreeId> = self.visited.iter().map(|&k| state_parts(k).1).collect();
         let pairs = self
             .it
@@ -1032,45 +815,38 @@ impl Worker {
             .into_iter()
             .map(|(a, b)| (a.0, b.0))
             .collect();
-        self.heartbeat(link)?;
+        self.heartbeat(out)?;
         let renders = if self.collect {
             let keys: Vec<u64> = self.visited.iter().copied().collect();
-            let mut out = Vec::with_capacity(keys.len());
+            let mut renders = Vec::with_capacity(keys.len());
             let mut last_beat = Instant::now();
             for chunk in keys.chunks(RENDER_CHUNK) {
                 for &k in chunk {
                     let (a, t) = state_parts(k);
-                    out.push(self.it.render_state(a, t));
+                    renders.push(self.it.render_state(a, t));
                 }
                 if last_beat.elapsed() >= PROGRESS_EVERY {
                     last_beat = Instant::now();
-                    self.heartbeat(link)?;
+                    self.heartbeat(out)?;
                 }
             }
-            out
+            renders
         } else {
             Vec::new()
         };
-        self.heartbeat(link)?;
+        self.heartbeat(out)?;
         Ok(ShardResult {
             visited: self.visited.len() as u64,
             terminals: self.terminals,
             deadlock_free: self.deadlock_free,
+            truncated: self.at_cap(),
             pairs,
             renders,
         })
     }
 
     /// Handles one supervisor frame.
-    fn handle<L: WorkerLink>(&mut self, m: WireMsg, link: &mut L) -> Result<(), Fx10Error> {
-        if matches!(m.kind, kind::BATCH | kind::ADOPT) && !self.seen_seqs.insert(m.seq) {
-            // A socket redelivery of a work frame already applied: its
-            // original ack may have been lost, so re-stage the ack, but
-            // skip the work (and the `processed` bump — the supervisor
-            // counted this frame once).
-            self.pending_ack.push(m.seq);
-            return Ok(());
-        }
+    fn handle(&mut self, m: WireMsg, out: &mut impl Write) -> Result<(), Fx10Error> {
         match m.kind {
             kind::BATCH => {
                 let payload = ipc::batch_payload(&m.body)?;
@@ -1081,11 +857,7 @@ impl Worker {
             }
             kind::ADOPT => {
                 let (shards, ckpt) = ipc::parse_adopt_body(&m.body)?;
-                for s in shards {
-                    if let Some(o) = self.owned.get_mut(s as usize) {
-                        *o = true;
-                    }
-                }
+                self.own(&shards);
                 if let Some(bytes) = ckpt {
                     self.import(&bytes, true)?;
                 }
@@ -1103,50 +875,41 @@ impl Worker {
                 // Quiescence protocol: everything staged must be on the
                 // wire before we claim idleness (FIFO pipes then make
                 // the supervisor see those batches before this reply).
-                self.flush_outboxes(link, false)?;
+                self.flush_outboxes(out, false)?;
                 let idle = self.idle();
                 self.send(
-                    link,
+                    out,
                     kind::PROBE_REPLY,
                     ipc::probe_reply_body(token, self.processed, idle),
                 )?;
             }
             kind::FINISH => {
-                // A retransmitted FINISH (lost RESULT) re-sends the
-                // cached bytes — the supervisor keeps the last copy.
-                self.flush_outboxes(link, false)?;
+                self.flush_outboxes(out, false)?;
                 if self.result_body.is_none() {
-                    let r = self.collect_result(link)?;
+                    let r = self.collect_result(out)?;
                     self.result_body = Some(encode_result(&r));
                 }
                 // Stream the result as bounded RESULT_PART frames: a
                 // collected result can dwarf the frame cap, and one
-                // monster frame reads as worker silence (and then a
-                // heartbeat drop) for its entire transfer.
+                // monster frame reads as worker silence for its entire
+                // transfer.
                 let body = self.result_body.clone().expect("just cached");
-                let total = body.chunks(ipc::RESULT_PART_LEN).count().max(1) as u32;
-                if body.is_empty() {
-                    self.send(link, kind::RESULT_PART, ipc::result_part_body(0, 1, &[]))?;
+                let chunks: Vec<&[u8]> = if body.is_empty() {
+                    vec![&[]]
                 } else {
-                    for (i, chunk) in body.chunks(ipc::RESULT_PART_LEN).enumerate() {
-                        self.send(
-                            link,
-                            kind::RESULT_PART,
-                            ipc::result_part_body(i as u32, total, chunk),
-                        )?;
-                    }
+                    body.chunks(ipc::RESULT_PART_LEN).collect()
+                };
+                let total = chunks.len() as u32;
+                for (i, chunk) in chunks.into_iter().enumerate() {
+                    self.send(
+                        out,
+                        kind::RESULT_PART,
+                        ipc::result_part_body(i as u32, total, chunk),
+                    )?;
                 }
                 self.finished = true;
             }
-            kind::ACK => match ipc::parse_ack_body(&m.body) {
-                Ok(seqs) => self.sent_unacked.retain(|(s, _)| !seqs.contains(s)),
-                Err(e) => {
-                    return Err(Fx10Error::Snapshot {
-                        message: format!("malformed ack from supervisor: {e}"),
-                    })
-                }
-            },
-            kind::INIT | kind::HELLO | kind::PROGRESS | kind::PROBE_REPLY | kind::RESULT => {
+            kind::INIT | kind::HELLO | kind::PROGRESS | kind::PROBE_REPLY | kind::ACK => {
                 // Duplicate INIT or echoed traffic: ignore rather than
                 // die — the supervisor is the arbiter of liveness.
             }
@@ -1177,43 +940,16 @@ fn wedge() -> ! {
 /// expansion with frame handling. Exits `Ok` on clean EOF; any protocol
 /// or I/O error propagates (the supervisor treats worker death as a
 /// restartable fault).
-pub fn shard_worker_main<R>(input: R, output: impl Write) -> Result<(), Fx10Error>
+pub fn shard_worker_main<R>(input: R, mut output: impl Write) -> Result<(), Fx10Error>
 where
     R: Read + Send + 'static,
 {
-    let mut link = PipeLink::spawn(input, output);
-    worker_run(&mut link)
-}
-
-/// The socket-mode worker entry behind `fx10 shard-worker --connect`:
-/// dial the supervisor, handshake, and run the same event loop as the
-/// pipe worker, reconnecting with decorrelated backoff whenever the
-/// connection drops. A handshake `REJECT` (bad secret, protocol skew,
-/// foreign fingerprint) is fatal and never retried.
-pub fn shard_worker_net(opts: &NetWorkerOptions) -> Result<(), Fx10Error> {
-    let mut link = NetLink::connect(opts)?;
-    worker_run(&mut link)
-}
-
-/// Classifies a link failure: handshake verdicts are deterministic and
-/// fatal; on a reconnectable link everything else is worth a re-dial.
-fn recoverable<L: WorkerLink>(link: &L, e: &Fx10Error) -> bool {
-    !link.reliable() && !matches!(e, Fx10Error::Handshake { .. })
-}
-
-/// Re-establishes a dropped socket link and replays this worker's side
-/// of the resume protocol: the supervisor re-sends `INIT` plus its
-/// unacked frames on attach, and we re-send ours — sequence-number
-/// dedup on both sides absorbs the overlap without double-counting.
-fn recover<L: WorkerLink>(w: &mut Worker, link: &mut L) -> Result<(), Fx10Error> {
-    link.reconnect()?;
-    w.retransmit(link)
-}
-
-/// The worker event loop over any [`WorkerLink`]: `HELLO`, wait for
-/// `INIT`, then interleave frontier expansion with frame handling.
-fn worker_run<L: WorkerLink>(link: &mut L) -> Result<(), Fx10Error> {
-    link.send_frame(&WireMsg::new(kind::HELLO, 0, Vec::new()).frame())?;
+    let (tx, rx) = channel::<In>();
+    thread::spawn(move || pump_frames(input, tx));
+    ipc::write_frame(
+        &mut output,
+        &WireMsg::new(kind::HELLO, 0, ipc::hello_body(ipc::PROTOCOL_VERSION)),
+    )?;
 
     // The 15 s grace covers a supervisor that is slow to INIT (e.g. a
     // loaded CI box); tests shrink it via FX10_SHARD_INIT_TIMEOUT_MS so
@@ -1222,38 +958,23 @@ fn worker_run<L: WorkerLink>(link: &mut L) -> Result<(), Fx10Error> {
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .map_or(Duration::from_secs(15), Duration::from_millis);
-    let init_deadline = Instant::now() + init_grace;
     let init = loop {
-        let left = init_deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(Fx10Error::Snapshot {
-                message: "no INIT from the supervisor — `fx10 shard-worker` is spawned \
-                          by `fx10 explore --shards`, not run by hand"
-                    .into(),
-            });
-        }
-        match link.recv(Some(left.min(Duration::from_millis(100)))) {
-            Some(In::Msg(m)) if m.kind == kind::INIT => break decode_init(&m.body)?,
-            Some(In::Msg(_)) => continue,
-            Some(In::Eof) => {
-                if link.reliable() {
-                    return Ok(());
-                }
-                link.reconnect()?;
+        match rx.recv_timeout(init_grace) {
+            Ok(In::Msg(m)) if m.kind == kind::INIT => break decode_init(&m.body)?,
+            Ok(In::Msg(_)) => continue,
+            Ok(In::Eof) | Err(RecvTimeoutError::Disconnected) => return Ok(()),
+            Ok(In::Fail(e)) => return Err(e),
+            Err(RecvTimeoutError::Timeout) => {
+                return Err(Fx10Error::Snapshot {
+                    message: "no INIT from the supervisor — `fx10 shard-worker` is spawned \
+                              by `fx10 explore --shards`, not run by hand"
+                        .into(),
+                })
             }
-            Some(In::Fail(e)) => {
-                if !recoverable(link, &e) {
-                    return Err(e);
-                }
-                link.reconnect()?;
-            }
-            None => continue,
         }
     };
 
     let mut w = Worker::new(init)?;
-    w.reliable = link.reliable();
-    link.set_fingerprint(w.fingerprint);
     // Restart path: resume from our own durable checkpoint. The
     // supervisor replays every unacked frame after INIT, and dedup
     // absorbs the overlap.
@@ -1265,68 +986,44 @@ fn worker_run<L: WorkerLink>(link: &mut L) -> Result<(), Fx10Error> {
 
     let mut last_progress = Instant::now();
     let mut first_progress = true;
-    let mut last_retx = Instant::now();
     loop {
         if w.chaos.wedge_after_states.is_some_and(|n| w.expanded >= n) {
             wedge();
         }
-        let timeout = if w.frontier.is_empty() || !w.pending_ack.is_empty() {
-            Some(Duration::from_millis(20))
+        let stopped = w.frontier.is_empty() || w.at_cap();
+        let next = if stopped || !w.pending_ack.is_empty() {
+            rx.recv_timeout(Duration::from_millis(20))
         } else {
-            None
+            rx.try_recv().map_err(|e| match e {
+                TryRecvError::Empty => RecvTimeoutError::Timeout,
+                TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+            })
         };
-        match link.recv(timeout) {
-            Some(In::Msg(m)) => w.handle(m, link)?,
-            Some(In::Eof) => {
-                if link.reliable() {
-                    return Ok(());
-                }
-                // The supervisor dropped us (heartbeat expiry, chaos, or
-                // its own restart): dial back in and resume. If it is
-                // gone for good the dial budget turns this into an exit —
-                // a quiet one after FINISH, when a hangup is simply the
-                // supervisor leaving with the results (a live supervisor
-                // that still wants them keeps the redial path working).
-                if let Err(e) = recover(&mut w, link) {
-                    return if w.finished { Ok(()) } else { Err(e) };
-                }
-            }
-            Some(In::Fail(e)) => {
-                if !recoverable(link, &e) {
-                    return Err(e);
-                }
-                if let Err(e) = recover(&mut w, link) {
-                    return if w.finished { Ok(()) } else { Err(e) };
-                }
-            }
-            None => {}
+        match next {
+            Ok(In::Msg(m)) => w.handle(m, &mut output)?,
+            Ok(In::Eof) | Err(RecvTimeoutError::Disconnected) => return Ok(()),
+            Ok(In::Fail(e)) => return Err(e),
+            Err(RecvTimeoutError::Timeout) => {}
         }
 
         if !w.finished {
             w.expand_slice();
-            w.flush_outboxes(link, true)?;
+            w.flush_outboxes(&mut output, true)?;
             if w.ckpt_every > 0 && w.since_ckpt >= w.ckpt_every {
-                w.checkpoint(link)?;
+                w.checkpoint(&mut output)?;
             }
-            if w.frontier.is_empty() {
-                w.flush_outboxes(link, false)?;
+            if w.frontier.is_empty() || w.at_cap() {
+                w.flush_outboxes(&mut output, false)?;
                 if !w.pending_ack.is_empty() || w.since_ckpt > 0 {
-                    w.checkpoint(link)?;
+                    w.checkpoint(&mut output)?;
                 }
             }
-        }
-
-        // Lossy-link ARQ: periodically re-send batches the supervisor
-        // has not acked (the original, or its ack, may have been lost).
-        if !w.reliable && !w.sent_unacked.is_empty() && last_retx.elapsed() >= RETRANSMIT_EVERY {
-            last_retx = Instant::now();
-            w.retransmit(link)?;
         }
 
         if first_progress || last_progress.elapsed() >= PROGRESS_EVERY {
             first_progress = false;
             last_progress = Instant::now();
-            w.heartbeat(link)?;
+            w.heartbeat(&mut output)?;
         }
     }
 }
@@ -1367,19 +1064,6 @@ pub struct ShardedOptions {
     /// Wedge worker `k` after it expands n states
     /// (`(k, n)`, first incarnation only).
     pub chaos_wedge: Option<(u32, u64)>,
-    /// Listen address for socket-mode workers (`None` = stdio pipes).
-    /// Bind to port 0 to let the OS pick; the actual address is printed
-    /// to stderr as `shards: listening on ADDR`.
-    pub listen: Option<SocketAddr>,
-    /// File holding the shared handshake secret (socket mode; trailing
-    /// newlines are stripped). `None` = structural checks only.
-    pub secret_file: Option<PathBuf>,
-    /// Reconnect budget per disconnection, on both sides of the link:
-    /// worker dial attempts, and supervisor-tolerated connection drops
-    /// per worker incarnation.
-    pub reconnects: u32,
-    /// Deterministic network-fault injection (socket mode; tests/CI).
-    pub net_chaos: NetChaos,
 }
 
 impl Default for ShardedOptions {
@@ -1397,10 +1081,6 @@ impl Default for ShardedOptions {
             collect: false,
             chaos_kill: None,
             chaos_wedge: None,
-            listen: None,
-            secret_file: None,
-            reconnects: 5,
-            net_chaos: NetChaos::default(),
         }
     }
 }
@@ -1421,8 +1101,8 @@ pub struct ShardProvenance {
 /// per-shard answers.
 ///
 /// The merge is lossless because shard ownership partitions the visited
-/// set: `visited`/`terminals` add, `deadlock_free` conjoins, MHP and
-/// the rendered digest set union. Errors (`Cancelled`, deadline,
+/// set: `visited`/`terminals` add, `deadlock_free` conjoins, the
+/// truncation tags disjoin, MHP and the rendered digest set union. Errors (`Cancelled`, deadline,
 /// `WorkerPanicked` after the restart budget and migration are both
 /// exhausted) propagate to the caller, which is expected to descend the
 /// degradation ladder.
@@ -1450,68 +1130,14 @@ pub fn explore_sharded(
         stall_after: opts.stall_after,
         poll: opts.poll,
         deadline: opts.deadline,
-        progress_cap: Some(config.max_states as u64),
         max_frame: ipc::MAX_FRAME_LEN,
     };
     let program_text = fx10_syntax::pretty::program(p);
-    let io_err = |path: String| move |e: std::io::Error| Fx10Error::Io {
-        path,
-        message: e.to_string(),
-    };
-    let mut net_addr: Option<SocketAddr> = None;
-    let link = match opts.listen {
-        Some(bind) => {
-            let listener = TcpListener::bind(bind).map_err(io_err(bind.to_string()))?;
-            let addr = listener.local_addr().map_err(io_err(bind.to_string()))?;
-            // Live, unbuffered: operators (and tests) binding port 0
-            // read the actual port back off this stderr line.
-            eprintln!("shards: listening on {addr}");
-            net_addr = Some(addr);
-            let secret = match &opts.secret_file {
-                Some(path) => {
-                    let mut s =
-                        std::fs::read(path).map_err(io_err(path.display().to_string()))?;
-                    while s.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
-                        s.pop();
-                    }
-                    s
-                }
-                None => Vec::new(),
-            };
-            FleetLink::Tcp {
-                listener,
-                cfg: TcpLinkConfig {
-                    secret,
-                    // The worker re-derives this from the INIT it
-                    // receives (re-parsing the pretty-printed program),
-                    // and the handshake rejects any mismatch.
-                    fingerprint: fingerprint(p, input, config),
-                    // Strictly inside the stall window: a silent
-                    // connection gets dropped (and redialed) well
-                    // before the process-level wedge detector fires.
-                    heartbeat_timeout: (opts.stall_after / 3).max(Duration::from_millis(300)),
-                    retransmit_after: Duration::from_millis(250),
-                    max_reconnects: opts.reconnects,
-                    chaos: opts.net_chaos,
-                },
-            }
-        }
-        None => FleetLink::Pipes,
-    };
-    let report = sup.run_linked(
+    let report = sup.run(
         cancel,
-        link,
-        |slot| {
+        |_| {
             let mut c = Command::new(&opts.worker_exe);
             c.args(&opts.worker_args);
-            if let Some(addr) = net_addr {
-                c.arg("--connect").arg(addr.to_string());
-                c.arg("--slot").arg(slot.to_string());
-                c.arg("--reconnects").arg(opts.reconnects.to_string());
-                if let Some(f) = &opts.secret_file {
-                    c.arg("--secret-file").arg(f);
-                }
-            }
             c
         },
         |slot, attempt, owned| {
@@ -1528,6 +1154,7 @@ pub fn explore_sharded(
                 ckpt_path: slot_ckpt(slot).to_string_lossy().into_owned(),
                 ckpt_every: opts.ckpt_every,
                 collect: opts.collect,
+                max_states: config.max_states as u64,
                 chaos: ShardChaos {
                     kill_after_ckpt: opts
                         .chaos_kill
@@ -1546,6 +1173,7 @@ pub fn explore_sharded(
     let mut visited = 0u64;
     let mut terminals = 0u64;
     let mut deadlock_free = true;
+    let mut truncated = false;
     let mut mhp: BTreeSet<(Label, Label)> = BTreeSet::new();
     let mut renders: BTreeSet<String> = BTreeSet::new();
     for body in report.results.iter().flatten() {
@@ -1553,13 +1181,14 @@ pub fn explore_sharded(
         visited += r.visited;
         terminals += r.terminals;
         deadlock_free &= r.deadlock_free;
+        truncated |= r.truncated;
         mhp.extend(r.pairs.iter().map(|&(a, b)| (Label(a), Label(b))));
         renders.extend(r.renders);
     }
     let exploration = Exploration {
         visited: visited as usize,
-        truncated: report.truncated,
-        exhausted: report.truncated.then_some(Exhaustion::States),
+        truncated,
+        exhausted: truncated.then_some(Exhaustion::States),
         mhp,
         deadlock_free,
         terminals: terminals as usize,
@@ -1673,6 +1302,7 @@ mod tests {
             ckpt_path: "/tmp/shard-2.fxsnap".into(),
             ckpt_every: 512,
             collect: true,
+            max_states: 200_000,
             chaos: ShardChaos {
                 kill_after_ckpt: Some(3),
                 wedge_after_states: None,
@@ -1695,6 +1325,7 @@ mod tests {
             visited: 10,
             terminals: 2,
             deadlock_free: false,
+            truncated: true,
             pairs: vec![(1, 2), (3, 3)],
             renders: vec!["[0] ⊢ √".into(), "[1] ⊢ ⟨2⟩".into()],
         };
@@ -1711,6 +1342,7 @@ mod tests {
             b.put_u64(0);
             b.put_u64(0);
             b.put_u8(1);
+            b.put_u8(0);
             b.put_usize(usize::MAX / 2);
             let mut w = SnapshotWriter::new();
             w.add_section(SEC_RESULT, b);

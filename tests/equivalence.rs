@@ -58,11 +58,7 @@ proptest! {
             Mode::ContextInsensitive { keep_scross: true },
         ] {
             let a = analyze_with(&p, mode, SolverKind::Naive);
-            for solver in [
-                SolverKind::Worklist,
-                SolverKind::Scc,
-                SolverKind::SccParallel(4),
-            ] {
+            for solver in [SolverKind::Worklist, SolverKind::Scc] {
                 let b = analyze_with(&p, mode, solver);
                 prop_assert_eq!(a.mhp(), b.mhp());
                 for f in 0..p.method_count() {

@@ -57,14 +57,13 @@ proptest! {
         methods in 1usize..4,
         stmts in 1usize..5,
         iters in 1u64..400,
-        solver_pick in 0usize..4,
+        solver_pick in 0usize..3,
     ) {
         let p = random_fx10(cfg(seed, methods, stmts, 2));
         let solver = [
             SolverKind::Naive,
             SolverKind::Worklist,
             SolverKind::Scc,
-            SolverKind::SccParallel(2),
         ][solver_pick];
         let budget = Budget::unlimited().with_max_iters(iters);
         let cancel = CancelToken::new();
