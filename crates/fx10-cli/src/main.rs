@@ -325,7 +325,11 @@ fn print_run_report(p: &Program, banner: &str, out: &fx10_runtime::RunReport) {
     if out.races.is_empty() {
         println!("races: none");
     } else {
-        println!("races: {} pair(s) observed:", out.races.len());
+        println!(
+            "races: {} race(s) on {} label pair(s):",
+            out.races.len(),
+            out.race_pairs().len()
+        );
         for r in &out.races {
             println!(
                 "  ({}, {}) on a[{}]",

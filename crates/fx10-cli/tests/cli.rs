@@ -712,10 +712,41 @@ fn run_reports_detected_races_on_the_racy_fixture() {
         let out = fx10(argv);
         assert_eq!(code(&out), 0, "{argv:?}: {out:?}");
         let s = stdout(&out);
-        assert!(s.contains("races: 2 pair(s) observed:"), "{argv:?}: {s}");
+        assert!(
+            s.contains("races: 2 race(s) on 2 label pair(s):"),
+            "{argv:?}: {s}"
+        );
         assert!(s.contains("(W1, W2) on a[0]"), "{argv:?}: {s}");
         assert!(s.contains("(W3, R1) on a[1]"), "{argv:?}: {s}");
     }
+}
+
+/// One label pair racing on two cells is two races on one pair: the
+/// header counts `(pair, cell)` entries and distinct pairs separately.
+#[test]
+fn run_counts_races_and_label_pairs_separately() {
+    let path = std::env::temp_dir().join(format!("fx10-cli-two-cells-{}.fx10", std::process::id()));
+    std::fs::write(
+        &path,
+        "def main() { async { a[0] = a[1] + 1; } a[1] = a[0] + 1; }\n",
+    )
+    .unwrap();
+    let file = path.display().to_string();
+    for argv in [
+        &["run", &file, "--jobs", "2"][..],
+        &["run", &file, "--elide"][..],
+    ] {
+        let out = fx10(argv);
+        assert_eq!(code(&out), 0, "{argv:?}: {out:?}");
+        let s = stdout(&out);
+        assert!(
+            s.contains(
+                "races: 2 race(s) on 1 label pair(s):\n  (L1, L2) on a[0]\n  (L1, L2) on a[1]\n"
+            ),
+            "{argv:?}: {s}"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The new runtime flags obey the same audit contract as every other

@@ -291,6 +291,87 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// The benchmark's program families, pinned.
+// ---------------------------------------------------------------------
+
+/// `width` activities, each incrementing its own cell `reps` times.
+fn map_incr(width: usize, reps: usize) -> String {
+    let mut src = String::from("def main() { finish {");
+    for w in 0..width {
+        src.push_str(" async {");
+        for _ in 0..reps {
+            src.push_str(&format!(" a[{w}] = a[{w}] + 1;"));
+        }
+        src.push_str(" }");
+    }
+    src + " } }"
+}
+
+/// `f_k = finish { async f_{k-1}(); async f_{k-2}(); }`; the leaves only
+/// read the never-written `a[0]`.
+fn fib(n: usize) -> String {
+    let mut src = format!("def main() {{ f{n}(); }}\n");
+    for k in (0..=n).rev() {
+        if k >= 2 {
+            src.push_str(&format!(
+                "def f{k}() {{ finish {{ async {{ f{}(); }} async {{ f{}(); }} }} }}\n",
+                k - 1,
+                k - 2
+            ));
+        } else {
+            src.push_str(&format!("def f{k}() {{ while (a[0] != 0) {{ skip; }} }}\n"));
+        }
+    }
+    src
+}
+
+/// `w` activities of `n` increments; activity `j`'s `i`-th statement
+/// bumps the shared `a[(j + i) % bins]`.
+fn hist(w: usize, n: usize, bins: usize) -> String {
+    let mut src = format!("array[{bins}];\ndef main() {{ finish {{");
+    for j in 0..w {
+        src.push_str(" async {");
+        for i in 0..n {
+            let c = (j + i) % bins;
+            src.push_str(&format!(" a[{c}] = a[{c}] + 1;"));
+        }
+        src.push_str(" }");
+    }
+    src + " } }"
+}
+
+/// The detector reports the same races, activities and steps under
+/// elision and on the crew at every size and seed, and the counts are
+/// the ones the benchmark's run workloads were built around.
+#[test]
+fn benchmark_families_detect_identically_across_engines() {
+    for (name, src, races, activities) in [
+        ("hist(8,100,4)", hist(8, 100, 4), 70_000, 9),
+        ("hist(32,25,4)", hist(32, 25, 4), 77_488, 33),
+        ("fib(18)", fib(18), 0, 8_361),
+        ("map_incr(8,800)", map_incr(8, 800), 0, 9),
+    ] {
+        let p = Program::parse(&src).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let serial = elide(&p);
+        assert!(serial.completed, "{name}");
+        assert_eq!(serial.races.len(), races, "{name}: elision races");
+        assert_eq!(serial.activities, activities, "{name}: elision activities");
+        for jobs in [1, 2, 8] {
+            for seed in 0..4u64 {
+                let r = par(&p, jobs, seed);
+                assert!(r.completed, "{name} jobs={jobs} seed={seed}");
+                assert_eq!(r.races, serial.races, "{name} jobs={jobs} seed={seed}");
+                assert_eq!(r.activities, activities, "{name} jobs={jobs} seed={seed}");
+                assert_eq!(r.steps, serial.steps, "{name} jobs={jobs} seed={seed}");
+                if races == 0 {
+                    assert_eq!(r.array, serial.array, "{name} jobs={jobs} seed={seed}");
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Satellite 3: runtime edge cases.
 // ---------------------------------------------------------------------
 
