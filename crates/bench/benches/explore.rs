@@ -14,8 +14,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fx10_bench::fanout;
-use fx10_semantics::{explore, explore_parallel, ExploreConfig};
+use fx10_robust::{Budget, CancelToken, FaultPlan};
+use fx10_semantics::{explore, explore_parallel_durable, Durability, Exploration, ExploreConfig};
 use fx10_syntax::{examples, Program};
+
+fn interned(p: &Program, jobs: usize) -> Exploration {
+    explore_parallel_durable(
+        p,
+        &[],
+        ExploreConfig::default(),
+        jobs,
+        Budget::unlimited(),
+        &CancelToken::new(),
+        &FaultPlan::none(),
+        Durability::default(),
+    )
+    .expect("an unlimited, uncancelled exploration cannot fail")
+}
 
 fn bench_explore(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore");
@@ -43,16 +58,7 @@ fn bench_explore(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("interned{jobs}"), name),
                 p,
-                |b, p| {
-                    b.iter(|| {
-                        std::hint::black_box(explore_parallel(
-                            p,
-                            &[],
-                            ExploreConfig::default(),
-                            jobs,
-                        ))
-                    })
-                },
+                |b, p| b.iter(|| std::hint::black_box(interned(p, jobs))),
             );
         }
     }

@@ -410,7 +410,8 @@ fn median_millis(mut run: impl FnMut() -> usize) -> (usize, f64) {
 /// fixture. Row order: seed-literal cloned, canonical cloned, then
 /// interned at each of `jobs`.
 pub fn bench_explore_fixture(p: &fx10_syntax::Program, jobs: &[usize]) -> Vec<ExploreBenchRow> {
-    use fx10_semantics::{explore, explore_parallel, ExploreConfig};
+    use fx10_robust::{Budget, CancelToken, FaultPlan};
+    use fx10_semantics::{explore, explore_parallel_durable, Durability, ExploreConfig};
     let seed_config = ExploreConfig {
         canonical_dedup: false,
         ..ExploreConfig::default()
@@ -431,8 +432,20 @@ pub fn bench_explore_fixture(p: &fx10_syntax::Program, jobs: &[usize]) -> Vec<Ex
         millis,
     });
     for &j in jobs {
-        let (visited, millis) =
-            median_millis(|| explore_parallel(p, &[], ExploreConfig::default(), j).visited);
+        let (visited, millis) = median_millis(|| {
+            explore_parallel_durable(
+                p,
+                &[],
+                ExploreConfig::default(),
+                j,
+                Budget::unlimited(),
+                &CancelToken::new(),
+                &FaultPlan::none(),
+                Durability::default(),
+            )
+            .expect("an unlimited, uncancelled exploration cannot fail")
+            .visited
+        });
         rows.push(ExploreBenchRow {
             engine: "interned",
             jobs: j,

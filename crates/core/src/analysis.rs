@@ -6,24 +6,10 @@ use crate::gen::{self, GenOutput, Mode};
 use crate::index::StmtIndex;
 use crate::sets::{LabelSet, PairSet};
 use crate::slabels::{compute_slabels_budgeted, SlabelsResult};
-use crate::solver::{
-    solve_pair_naive_budgeted, solve_pair_worklist_budgeted, solve_set_naive_budgeted,
-    solve_set_worklist_budgeted, PairSolution, SetSolution,
-};
-use fx10_robust::backoff::XorShift64;
+pub use crate::solver::SolverKind;
+use crate::solver::{PairSolution, SetSolution};
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, FaultPlan, Fx10Error, Stop};
 use fx10_syntax::{FuncId, Label, Program};
-
-/// Which fixed-point algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// The paper's round-robin iteration; pass counts are reported.
-    Naive,
-    /// Worklist iteration (same solutions, fewer evaluations).
-    Worklist,
-    /// SCC-condensation level-2 solve (worklist for the set phases).
-    Scc,
-}
 
 /// Counters matching the evaluation tables.
 #[derive(Debug, Clone, Default)]
@@ -108,7 +94,7 @@ pub fn analyze_with_budget(
     let mut meter = BudgetMeter::new(budget, cancel.clone());
     let idx = StmtIndex::build(p);
     // Step 1: solve the Slabels equations.
-    let slabels = compute_slabels_budgeted(&idx, solver == SolverKind::Naive, &mut meter)?;
+    let slabels = compute_slabels_budgeted(&idx, solver, &mut meter)?;
     // Phase boundary: cancellation unwinds; a tripped deadline is
     // recorded in the meter and the remaining phases short-circuit on
     // their own polls, keeping the partial-result contract.
@@ -117,10 +103,7 @@ pub fn analyze_with_budget(
     }
     // Step 2: generate and solve the level-1 constraints.
     let gen = gen::generate(p, &idx, &slabels, mode);
-    let l1 = match solver {
-        SolverKind::Naive => solve_set_naive_budgeted(&gen.level1, &mut meter)?,
-        _ => solve_set_worklist_budgeted(&gen.level1, &mut meter)?,
-    };
+    let l1 = solver.solve_set(&gen.level1, &mut meter)?;
     // Phase boundary: cancellation unwinds; a tripped deadline is
     // recorded in the meter and the remaining phases short-circuit on
     // their own polls, keeping the partial-result contract.
@@ -129,11 +112,7 @@ pub fn analyze_with_budget(
     }
     // Step 3: simplify and solve the level-2 constraints.
     let l2sys = gen::simplify(&gen, &l1, &slabels);
-    let l2 = match solver {
-        SolverKind::Naive => solve_pair_naive_budgeted(&l2sys, &mut meter)?,
-        SolverKind::Worklist => solve_pair_worklist_budgeted(&l2sys, &mut meter)?,
-        SolverKind::Scc => crate::scc::solve_pair_scc_budgeted(&l2sys, &mut meter)?,
-    };
+    let l2 = solver.solve_pair(&l2sys, &mut meter)?;
     let millis = start.elapsed().as_secs_f64() * 1e3;
 
     let exhausted = slabels
@@ -185,18 +164,6 @@ pub struct FallbackOutcome {
     pub path: AnalysisPath,
     /// What exhausted the CS budget, when the fallback fired.
     pub cs_exhaustion: Option<Exhaustion>,
-}
-
-impl FallbackOutcome {
-    /// True when the answering analysis is a *complete* fixed point —
-    /// the precondition for feasibility-based refinement
-    /// ([`Analysis::prune_mhp`]): a budget-cut relation is partial, and
-    /// pruning a partial relation could silently drop real pairs twice
-    /// over. Holds on the fallback path too, provided the CI run itself
-    /// completed (it is then a sound, complete over-approximation).
-    pub fn supports_pruning(&self) -> bool {
-        self.analysis.exhausted.is_none()
-    }
 }
 
 /// The outcome of [`Analysis::prune_mhp`]: the surviving pair set and
@@ -287,21 +254,6 @@ impl Analysis {
     /// to it returns.
     pub fn o_of(&self, f: FuncId) -> &LabelSet {
         self.l1.get(self.gen.layout.oi(f))
-    }
-
-    /// `m_s` of a statement.
-    pub fn m_of_stmt(&self, s: crate::index::StmtId) -> &PairSet {
-        self.l2.get(self.gen.layout.m(s))
-    }
-
-    /// `r_s` / `o_s` of a statement.
-    pub fn r_of_stmt(&self, s: crate::index::StmtId) -> &LabelSet {
-        self.l1.get(self.gen.layout.r(s))
-    }
-
-    /// `o_s` of a statement.
-    pub fn o_of_stmt(&self, s: crate::index::StmtId) -> &LabelSet {
-        self.l1.get(self.gen.layout.o(s))
     }
 
     /// May the instructions labeled `a` and `b` happen in parallel?
@@ -552,13 +504,18 @@ impl std::fmt::Debug for ShardRunner {
     }
 }
 
+/// How many times the ladder retries the parallel rung after its first
+/// failure. Retries start at once: the crew runs in-process, so no other
+/// party holds a resource that a wait would free.
+const PARALLEL_RETRIES: usize = 2;
+
 /// The supervised degradation ladder (the "if it crashes, answer anyway"
 /// driver):
 ///
 /// 1. **parallel-explore** — the durable multi-threaded explorer with a
-///    heartbeat watchdog; on stall or panic, bounded retries with
-///    decorrelated-jitter backoff and a halved crew, resuming from the
-///    last durable checkpoint when one is on disk;
+///    heartbeat watchdog; on stall or panic, two immediate retries,
+///    each with a halved crew, resuming from the last durable checkpoint
+///    when one is on disk;
 /// 2. **sequential-explore** — the single-threaded oracle, immune to the
 ///    crew's failure modes, run under `catch_unwind`;
 /// 3. **context-sensitive** — the paper's static analysis (sound
@@ -575,12 +532,6 @@ pub struct Supervisor {
     /// Crew size for the first parallel-explore attempt (halved on each
     /// retry, floor 1).
     pub jobs: usize,
-    /// How many times to retry the parallel rung after the first failure.
-    pub max_retries: usize,
-    /// Lower bound of every backoff sleep.
-    pub base_backoff: std::time::Duration,
-    /// Upper clamp of every backoff sleep.
-    pub max_backoff: std::time::Duration,
     /// Heartbeat-frozen duration after which the watchdog declares a
     /// worker stalled.
     pub stall_after: std::time::Duration,
@@ -596,8 +547,6 @@ pub struct Supervisor {
     /// Durable-checkpoint spec for the parallel rung; also the file
     /// retries resume from. `None` disables both.
     pub checkpoint: Option<fx10_semantics::CheckpointSpec>,
-    /// Seed for the backoff jitter (any value; zero is remapped).
-    pub backoff_seed: u64,
     /// Optional multi-process backend. When set, the ladder gains a top
     /// rung — **sharded-explore** — tried before the in-process
     /// parallel explorer.
@@ -608,16 +557,12 @@ impl Default for Supervisor {
     fn default() -> Self {
         Supervisor {
             jobs: 4,
-            max_retries: 2,
-            base_backoff: std::time::Duration::from_millis(25),
-            max_backoff: std::time::Duration::from_millis(250),
             stall_after: std::time::Duration::from_secs(10),
             poll: std::time::Duration::from_millis(50),
             budget: Budget::unlimited(),
             explore_config: fx10_semantics::ExploreConfig::default(),
             solver: SolverKind::Worklist,
             checkpoint: None,
-            backoff_seed: 0x9E37_79B9_7F4A_7C15,
             shard_runner: None,
         }
     }
@@ -706,15 +651,13 @@ impl Supervisor {
         faults: &FaultPlan,
         mut trace: Vec<String>,
     ) -> Result<SupervisedAnswer, Fx10Error> {
-        let mut rng = XorShift64::new(self.backoff_seed);
         let mut jobs = self.jobs.max(1);
-        let mut prev_backoff = self.base_backoff;
         let watchdog = fx10_semantics::WatchdogSpec {
             stall_after: self.stall_after,
             poll: self.poll,
         };
 
-        for attempt in 0..=self.max_retries {
+        for attempt in 0..=PARALLEL_RETRIES {
             cancel.check()?;
             // On a retry, resume from the durable checkpoint if one is on
             // disk and actually belongs to this program and configuration.
@@ -781,16 +724,9 @@ impl Supervisor {
                         "parallel-explore attempt {} with {jobs} jobs failed: {e}",
                         attempt + 1
                     ));
-                    if attempt < self.max_retries {
-                        let backoff =
-                            rng.backoff(self.base_backoff, prev_backoff, self.max_backoff);
-                        prev_backoff = backoff;
+                    if attempt < PARALLEL_RETRIES {
                         jobs = (jobs / 2).max(1);
-                        trace.push(format!(
-                            "backing off {} ms, retrying with {jobs} jobs",
-                            backoff.as_millis()
-                        ));
-                        std::thread::sleep(backoff);
+                        trace.push(format!("retrying with {jobs} jobs"));
                     }
                 }
             }
@@ -1078,9 +1014,6 @@ mod tests {
         let p = examples::example_2_1();
         let sup = Supervisor {
             jobs: 2,
-            max_retries: 1,
-            base_backoff: std::time::Duration::from_millis(1),
-            max_backoff: std::time::Duration::from_millis(5),
             stall_after: std::time::Duration::from_millis(150),
             poll: std::time::Duration::from_millis(10),
             ..Supervisor::default()
@@ -1106,7 +1039,7 @@ mod tests {
             "trace must record the stall: {:?}",
             ans.trace
         );
-        assert!(ans.trace.iter().any(|l| l.contains("backing off")));
+        assert!(ans.trace.iter().any(|l| l == "retrying with 1 jobs"));
     }
 
     #[test]
@@ -1139,27 +1072,6 @@ mod tests {
             sup.run(&p, &[], &cancel, &FaultPlan::none()),
             Err(Fx10Error::Cancelled)
         ));
-    }
-
-    #[test]
-    fn decorrelated_backoff_stays_within_its_bounds() {
-        use std::time::Duration;
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(100);
-        let mut rng = XorShift64::new(42);
-        let mut prev = base;
-        for _ in 0..1000 {
-            let b = rng.backoff(base, prev, cap);
-            assert!(b >= base.min(cap), "below base: {b:?}");
-            assert!(b <= cap, "above cap: {b:?}");
-            prev = b;
-        }
-        // Jitter actually jitters: not every draw is identical.
-        let mut rng = XorShift64::new(7);
-        let draws: Vec<_> = (0..32)
-            .map(|_| rng.backoff(base, Duration::from_millis(50), cap))
-            .collect();
-        assert!(draws.iter().any(|d| *d != draws[0]));
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod gen;
 pub mod index;
 pub mod race;
 pub mod report;
-pub mod scc;
 pub mod sets;
 pub mod slabels;
 pub mod solver;

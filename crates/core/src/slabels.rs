@@ -12,10 +12,7 @@
 
 use crate::index::{StmtIndex, StmtKind};
 use crate::sets::{LabelSet, SharedLabelSet};
-use crate::solver::{
-    solve_set_naive_budgeted, solve_set_worklist_budgeted, SetConstraint, SetSystem, SetTerm,
-    SetVar,
-};
+use crate::solver::{SetConstraint, SetSystem, SetTerm, SetVar, SolverKind};
 use fx10_robust::{BudgetMeter, Exhaustion, Fx10Error};
 use fx10_syntax::FuncId;
 use std::sync::Arc;
@@ -113,7 +110,12 @@ pub fn slabels_system(idx: &StmtIndex) -> SetSystem {
 /// `naive` selects the paper's round-robin iteration (pass counts are then
 /// meaningful); otherwise the worklist solver is used.
 pub fn compute_slabels(idx: &StmtIndex, naive: bool) -> SlabelsResult {
-    compute_slabels_budgeted(idx, naive, &mut BudgetMeter::unlimited()).unwrap_or_else(|_| {
+    let solver = if naive {
+        SolverKind::Naive
+    } else {
+        SolverKind::Worklist
+    };
+    compute_slabels_budgeted(idx, solver, &mut BudgetMeter::unlimited()).unwrap_or_else(|_| {
         // Unreachable (an unlimited meter never trips); degrade to an
         // empty result rather than panic on a library path.
         SlabelsResult {
@@ -134,15 +136,11 @@ pub fn compute_slabels(idx: &StmtIndex, naive: bool) -> SlabelsResult {
 /// analysis phases, so `max_iters` bounds the whole pipeline.
 pub fn compute_slabels_budgeted(
     idx: &StmtIndex,
-    naive: bool,
+    solver: SolverKind,
     meter: &mut BudgetMeter,
 ) -> Result<SlabelsResult, Fx10Error> {
     let sys = slabels_system(idx);
-    let sol = if naive {
-        solve_set_naive_budgeted(&sys, meter)?
-    } else {
-        solve_set_worklist_budgeted(&sys, meter)?
-    };
+    let sol = solver.solve_set(&sys, meter)?;
     let n = idx.len();
     let per_stmt: Vec<SharedLabelSet> = sol.values[..n]
         .iter()

@@ -9,7 +9,7 @@
 //! accommodates the context-insensitive analysis's genuine subset
 //! constraints `r_s ⊆ r_i` (constraint 83) with no special casing.
 //!
-//! Two solvers are provided for each domain:
+//! Two solvers are provided for each domain, chosen by [`SolverKind`]:
 //! - **naive** — round-robin passes over all constraints until a full pass
 //!   changes nothing. The pass count is reported; this is the "Number of
 //!   iterations" column of Figure 8 (the final, changeless pass included,
@@ -19,12 +19,11 @@
 //!   used as the production path and measured by the solver-ablation
 //!   bench.
 //!
-//! Every solver also has a `_budgeted` variant taking a [`BudgetMeter`]:
-//! one meter tick per constraint evaluation, so a `max_iters` budget
-//! bounds the whole analysis across phases. Budget exhaustion returns
-//! the partial (under-approximate) solution tagged with its
-//! [`Exhaustion`] provenance; cancellation returns
-//! [`Fx10Error::Cancelled`].
+//! Both run under a [`BudgetMeter`]: one meter tick per constraint
+//! evaluation, so a `max_iters` budget bounds the whole analysis across
+//! phases. Budget exhaustion returns the partial (under-approximate)
+//! solution tagged with its [`Exhaustion`] provenance; cancellation
+//! returns [`Fx10Error::Cancelled`].
 
 use crate::sets::{LabelSet, PairSet, SharedLabelSet};
 use fx10_robust::{BudgetMeter, Exhaustion, Fx10Error, Stop};
@@ -129,117 +128,6 @@ fn eval_set_constraint(c: &SetConstraint, values: &mut [LabelSet]) -> bool {
     changed
 }
 
-/// Fallback for the infallible wrappers: an unlimited meter cannot trip,
-/// so this is unreachable — but library paths never panic, so degrade to
-/// an empty, exhaustion-tagged solution instead.
-macro_rules! unreachable_partial {
-    ($sol:ident) => {
-        $sol {
-            values: Vec::new(),
-            passes: 0,
-            evals: 0,
-            exhausted: Some(Exhaustion::SolverIterations),
-        }
-    };
-}
-
-/// Naive round-robin solver; reports the pass count.
-pub fn solve_set_naive(sys: &SetSystem) -> SetSolution {
-    solve_set_naive_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(SetSolution))
-}
-
-/// [`solve_set_naive`] under a budget; exhaustion returns the partial
-/// solution tagged, cancellation returns `Err`.
-pub fn solve_set_naive_budgeted(
-    sys: &SetSystem,
-    meter: &mut BudgetMeter,
-) -> Result<SetSolution, Fx10Error> {
-    let mut values = vec![LabelSet::empty(sys.universe); sys.n_vars];
-    let mut passes = 0usize;
-    let mut evals = 0usize;
-    let mut exhausted = None;
-    'solve: loop {
-        passes += 1;
-        let mut changed = false;
-        for c in &sys.constraints {
-            match meter.tick() {
-                Ok(()) => {}
-                Err(Stop::Exhausted(e)) => {
-                    exhausted = Some(e);
-                    break 'solve;
-                }
-                Err(stop @ Stop::Cancelled) => return Err(stop.into()),
-            }
-            evals += 1;
-            changed |= eval_set_constraint(c, &mut values);
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(SetSolution {
-        values,
-        passes,
-        evals,
-        exhausted,
-    })
-}
-
-/// Worklist solver; same least solution, usually far fewer evaluations.
-pub fn solve_set_worklist(sys: &SetSystem) -> SetSolution {
-    solve_set_worklist_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(SetSolution))
-}
-
-/// [`solve_set_worklist`] under a budget.
-pub fn solve_set_worklist_budgeted(
-    sys: &SetSystem,
-    meter: &mut BudgetMeter,
-) -> Result<SetSolution, Fx10Error> {
-    let mut values = vec![LabelSet::empty(sys.universe); sys.n_vars];
-    // deps[v] = constraints whose rhs mentions v.
-    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); sys.n_vars];
-    for (ci, c) in sys.constraints.iter().enumerate() {
-        for t in &c.terms {
-            if let SetTerm::Var(v) = t {
-                deps[v.index()].push(ci as u32);
-            }
-        }
-    }
-    let mut on_queue = vec![true; sys.constraints.len()];
-    let mut queue: std::collections::VecDeque<u32> = (0..sys.constraints.len() as u32).collect();
-    let mut evals = 0usize;
-    let mut exhausted = None;
-    while let Some(ci) = queue.pop_front() {
-        match meter.tick() {
-            Ok(()) => {}
-            Err(Stop::Exhausted(e)) => {
-                exhausted = Some(e);
-                break;
-            }
-            Err(stop @ Stop::Cancelled) => return Err(stop.into()),
-        }
-        on_queue[ci as usize] = false;
-        let c = &sys.constraints[ci as usize];
-        evals += 1;
-        if eval_set_constraint(c, &mut values) {
-            for &d in &deps[c.lhs.index()] {
-                if !on_queue[d as usize] {
-                    on_queue[d as usize] = true;
-                    queue.push_back(d);
-                }
-            }
-        }
-    }
-    Ok(SetSolution {
-        values,
-        passes: 0,
-        evals,
-        exhausted,
-    })
-}
-
 /// A level-2 (pair) variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PairVar(pub u32);
@@ -341,25 +229,121 @@ fn eval_pair_constraint(c: &PairConstraint, values: &mut [PairSet]) -> bool {
     changed
 }
 
-/// Naive round-robin level-2 solver; reports the pass count.
-pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
-    solve_pair_naive_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(PairSolution))
+/// Which fixed-point algorithm to run. This is the one place a solver
+/// choice becomes an algorithm: both analyses (FX10 and condensed) hand
+/// every phase to [`SolverKind::solve_set`] / [`SolverKind::solve_pair`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolverKind {
+    /// The paper's round-robin iteration; pass counts are reported.
+    Naive,
+    /// Worklist iteration (same solutions, fewer evaluations).
+    Worklist,
 }
 
-/// [`solve_pair_naive`] under a budget.
-pub fn solve_pair_naive_budgeted(
-    sys: &PairSystem,
+impl SolverKind {
+    /// Solves a set system (Slabels or level-1) under `meter`.
+    /// Exhaustion returns the partial solution tagged, cancellation
+    /// returns `Err`.
+    pub fn solve_set(
+        self,
+        sys: &SetSystem,
+        meter: &mut BudgetMeter,
+    ) -> Result<SetSolution, Fx10Error> {
+        let mut values = vec![LabelSet::empty(sys.universe); sys.n_vars];
+        let run = match self {
+            SolverKind::Naive => {
+                iterate_naive(&sys.constraints, &mut values, eval_set_constraint, meter)?
+            }
+            SolverKind::Worklist => {
+                let reads = |c: &SetConstraint| {
+                    c.terms
+                        .iter()
+                        .filter_map(|t| match t {
+                            SetTerm::Var(v) => Some(v.index()),
+                            SetTerm::Const(_) => None,
+                        })
+                        .collect::<Vec<_>>()
+                };
+                iterate_worklist(
+                    &sys.constraints,
+                    &mut values,
+                    |c| c.lhs.index(),
+                    reads,
+                    eval_set_constraint,
+                    meter,
+                )?
+            }
+        };
+        Ok(SetSolution {
+            values,
+            passes: run.passes,
+            evals: run.evals,
+            exhausted: run.exhausted,
+        })
+    }
+
+    /// Solves a simplified level-2 system under `meter`.
+    pub fn solve_pair(
+        self,
+        sys: &PairSystem,
+        meter: &mut BudgetMeter,
+    ) -> Result<PairSolution, Fx10Error> {
+        let mut values = vec![PairSet::empty(sys.universe); sys.n_vars];
+        let run = match self {
+            SolverKind::Naive => {
+                iterate_naive(&sys.constraints, &mut values, eval_pair_constraint, meter)?
+            }
+            SolverKind::Worklist => {
+                let reads = |c: &PairConstraint| {
+                    c.terms
+                        .iter()
+                        .filter_map(|t| match t {
+                            PairTerm::MVar(v) => Some(v.index()),
+                            _ => None,
+                        })
+                        .collect::<Vec<_>>()
+                };
+                iterate_worklist(
+                    &sys.constraints,
+                    &mut values,
+                    |c| c.lhs.index(),
+                    reads,
+                    eval_pair_constraint,
+                    meter,
+                )?
+            }
+        };
+        Ok(PairSolution {
+            values,
+            passes: run.passes,
+            evals: run.evals,
+            exhausted: run.exhausted,
+        })
+    }
+}
+
+/// Solver statistics shared by both domains.
+struct Run {
+    passes: usize,
+    evals: usize,
+    exhausted: Option<Exhaustion>,
+}
+
+/// Round-robin passes over all constraints until a full pass changes
+/// nothing (that final pass is counted).
+fn iterate_naive<C, V>(
+    constraints: &[C],
+    values: &mut [V],
+    eval: impl Fn(&C, &mut [V]) -> bool,
     meter: &mut BudgetMeter,
-) -> Result<PairSolution, Fx10Error> {
-    let mut values = vec![PairSet::empty(sys.universe); sys.n_vars];
+) -> Result<Run, Fx10Error> {
     let mut passes = 0usize;
     let mut evals = 0usize;
     let mut exhausted = None;
     'solve: loop {
         passes += 1;
         let mut changed = false;
-        for c in &sys.constraints {
+        for c in constraints {
             match meter.tick() {
                 Ok(()) => {}
                 Err(Stop::Exhausted(e)) => {
@@ -369,42 +353,38 @@ pub fn solve_pair_naive_budgeted(
                 Err(stop @ Stop::Cancelled) => return Err(stop.into()),
             }
             evals += 1;
-            changed |= eval_pair_constraint(c, &mut values);
+            changed |= eval(c, values);
         }
         if !changed {
             break;
         }
     }
-    Ok(PairSolution {
-        values,
+    Ok(Run {
         passes,
         evals,
         exhausted,
     })
 }
 
-/// Worklist level-2 solver.
-pub fn solve_pair_worklist(sys: &PairSystem) -> PairSolution {
-    solve_pair_worklist_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(PairSolution))
-}
-
-/// [`solve_pair_worklist`] under a budget.
-pub fn solve_pair_worklist_budgeted(
-    sys: &PairSystem,
+/// Seeds every constraint, then re-evaluates only the constraints whose
+/// right-hand-side variables (`reads`) changed. Reports zero passes.
+fn iterate_worklist<C, V>(
+    constraints: &[C],
+    values: &mut [V],
+    lhs: impl Fn(&C) -> usize,
+    reads: impl Fn(&C) -> Vec<usize>,
+    eval: impl Fn(&C, &mut [V]) -> bool,
     meter: &mut BudgetMeter,
-) -> Result<PairSolution, Fx10Error> {
-    let mut values = vec![PairSet::empty(sys.universe); sys.n_vars];
-    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); sys.n_vars];
-    for (ci, c) in sys.constraints.iter().enumerate() {
-        for t in &c.terms {
-            if let PairTerm::MVar(v) = t {
-                deps[v.index()].push(ci as u32);
-            }
+) -> Result<Run, Fx10Error> {
+    // deps[v] = constraints whose rhs mentions v.
+    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); values.len()];
+    for (ci, c) in constraints.iter().enumerate() {
+        for v in reads(c) {
+            deps[v].push(ci as u32);
         }
     }
-    let mut on_queue = vec![true; sys.constraints.len()];
-    let mut queue: std::collections::VecDeque<u32> = (0..sys.constraints.len() as u32).collect();
+    let mut on_queue = vec![true; constraints.len()];
+    let mut queue: std::collections::VecDeque<u32> = (0..constraints.len() as u32).collect();
     let mut evals = 0usize;
     let mut exhausted = None;
     while let Some(ci) = queue.pop_front() {
@@ -417,10 +397,10 @@ pub fn solve_pair_worklist_budgeted(
             Err(stop @ Stop::Cancelled) => return Err(stop.into()),
         }
         on_queue[ci as usize] = false;
-        let c = &sys.constraints[ci as usize];
+        let c = &constraints[ci as usize];
         evals += 1;
-        if eval_pair_constraint(c, &mut values) {
-            for &d in &deps[c.lhs.index()] {
+        if eval(c, values) {
+            for &d in &deps[lhs(c)] {
                 if !on_queue[d as usize] {
                     on_queue[d as usize] = true;
                     queue.push_back(d);
@@ -428,12 +408,39 @@ pub fn solve_pair_worklist_budgeted(
             }
         }
     }
-    Ok(PairSolution {
-        values,
+    Ok(Run {
         passes: 0,
         evals,
         exhausted,
     })
+}
+
+/// Naive round-robin solver; reports the pass count. Infallible: an
+/// unlimited meter cannot trip, so the `Err` arm is unreachable — but
+/// library paths never panic, so it degrades to an empty,
+/// exhaustion-tagged solution instead.
+pub fn solve_set_naive(sys: &SetSystem) -> SetSolution {
+    SolverKind::Naive
+        .solve_set(sys, &mut BudgetMeter::unlimited())
+        .unwrap_or_else(|_| SetSolution {
+            values: Vec::new(),
+            passes: 0,
+            evals: 0,
+            exhausted: Some(Exhaustion::SolverIterations),
+        })
+}
+
+/// Naive round-robin level-2 solver; reports the pass count. Infallible,
+/// like [`solve_set_naive`].
+pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
+    SolverKind::Naive
+        .solve_pair(sys, &mut BudgetMeter::unlimited())
+        .unwrap_or_else(|_| PairSolution {
+            values: Vec::new(),
+            passes: 0,
+            evals: 0,
+            exhausted: Some(Exhaustion::SolverIterations),
+        })
 }
 
 #[cfg(test)]
@@ -476,7 +483,9 @@ mod tests {
     fn naive_and_worklist_agree() {
         let sys = sys_chain();
         let a = solve_set_naive(&sys);
-        let b = solve_set_worklist(&sys);
+        let b = SolverKind::Worklist
+            .solve_set(&sys, &mut BudgetMeter::unlimited())
+            .unwrap();
         assert_eq!(a.values, b.values);
         assert_eq!(a.get(SetVar(2)).iter().count(), 2);
         assert!(a.get(SetVar(0)).contains(Label(1)), "cycle propagates back");
@@ -529,7 +538,9 @@ mod tests {
             ],
         };
         let a = solve_pair_naive(&sys);
-        let b = solve_pair_worklist(&sys);
+        let b = SolverKind::Worklist
+            .solve_pair(&sys, &mut BudgetMeter::unlimited())
+            .unwrap();
         assert_eq!(a.values, b.values);
         assert_eq!(a.get(PairVar(1)).len(), 3); // (1,3), (2,3), (5,6)
         assert!(a.get(PairVar(1)).contains(Label(5), Label(6)));

@@ -242,12 +242,6 @@ impl AbsVal {
             _ => AbsVal::of(d, 0),
         }
     }
-
-    /// True when the value excludes zero (and is not `Bot`): the fact the
-    /// divergence and feasibility rules cite.
-    pub fn excludes_zero(self) -> bool {
-        self != Bot && !self.contains(0)
-    }
 }
 
 /// Renders the value in the deterministic ASCII form shared by the text

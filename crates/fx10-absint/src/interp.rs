@@ -296,12 +296,6 @@ impl Absint {
         &self.divergent
     }
 
-    /// The guard observation at a reachable `while` head: `(guard cell,
-    /// abstract value)`.
-    pub fn loop_head(&self, l: Label) -> Option<(usize, AbsVal)> {
-        self.loop_heads[l.index()]
-    }
-
     /// A one-line abstract fact about `l`, for lint fix hints: either the
     /// unreachability reason, or the innermost enclosing guard's value, or
     /// the local environment.

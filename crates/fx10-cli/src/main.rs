@@ -113,7 +113,7 @@ fn usage() -> ExitCode {
            --witness-states N                           witness search cap, 0 = off (lint)\n\
            --domain <const|interval|parity>             abstract domain (absint/lint/race)\n\
            --ci                                         context-insensitive analysis\n\
-           --solver <naive|worklist|scc>                fixed-point algorithm\n\
+           --solver <naive|worklist>                    fixed-point algorithm\n\
            --places                                     same-place MHP refinement (x10)\n\
            --budget-states N                            distinct-state budget (exit 3 when cut)\n\
            --budget-iters N                             solver constraint-evaluation budget\n\
@@ -583,7 +583,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
                 o.solver = match v.as_str() {
                     "naive" => fx10_core::analysis::SolverKind::Naive,
                     "worklist" => fx10_core::analysis::SolverKind::Worklist,
-                    "scc" => fx10_core::analysis::SolverKind::Scc,
                     other => return Err(format!("unknown solver `{other}`")),
                 };
             }

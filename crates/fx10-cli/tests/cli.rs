@@ -179,7 +179,7 @@ fn bench_runs_a_named_benchmark() {
 #[test]
 fn solver_variants_agree_via_cli() {
     let mut outputs = Vec::new();
-    for solver in ["naive", "worklist", "scc"] {
+    for solver in ["naive", "worklist"] {
         let out = fx10(&["mhp", "programs/example22.fx10", "--solver", solver]);
         assert!(out.status.success(), "{solver}: {out:?}");
         // Compare only the pair lines (timings differ).
@@ -355,9 +355,20 @@ fn every_command_survives_a_one_millisecond_deadline() {
     assert!([0, 3].contains(&code(&out)));
 }
 
+/// The removed SCC solvers are unknown values, not silent aliases.
+#[test]
+fn removed_solvers_are_unknown_values() {
+    for solver in ["scc", "scc-par"] {
+        let out = fx10(&["mhp", "programs/example22.fx10", "--solver", solver]);
+        assert_eq!(code(&out), 2, "{solver}: {out:?}");
+        let e = stderr(&out);
+        assert!(e.contains(&format!("unknown solver `{solver}`")), "{e}");
+    }
+}
+
 #[test]
 fn solver_choices_all_respect_budgets() {
-    for solver in ["naive", "worklist", "scc"] {
+    for solver in ["naive", "worklist"] {
         let out = fx10(&[
             "mhp",
             "programs/example22.fx10",
@@ -526,7 +537,7 @@ fn known_flag_on_the_wrong_subcommand_exits_2() {
         &["explore", "programs/fork_join.fx10", "--sched", "leftmost"],
         &["explore", "programs/fork_join.fx10", "--ladder"],
         &["explore", "programs/fork_join.fx10", "--ci"],
-        &["run", "programs/fork_join.fx10", "--solver", "scc"],
+        &["run", "programs/fork_join.fx10", "--solver", "worklist"],
         &["race", "programs/racey.fx10", "--places"],
         &["check", "programs/example22.fx10", "--fallback-ci"],
     ];

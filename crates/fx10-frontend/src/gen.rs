@@ -23,9 +23,8 @@ use crate::condensed::{CBlock, CFuncId, CNodeKind, CProgram};
 use fx10_core::analysis::{AnalysisStats, SolverKind};
 use fx10_core::sets::{LabelSet, PairSet, SharedLabelSet};
 use fx10_core::solver::{
-    solve_pair_naive_budgeted, solve_pair_worklist_budgeted, solve_set_naive_budgeted,
-    solve_set_worklist_budgeted, PairConstraint, PairSystem, PairTerm, PairVar, SetConstraint,
-    SetSolution, SetSystem, SetTerm, SetVar,
+    PairConstraint, PairSystem, PairTerm, PairVar, SetConstraint, SetSolution, SetSystem, SetTerm,
+    SetVar,
 };
 use fx10_core::Mode;
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, Fx10Error, Stop};
@@ -241,10 +240,7 @@ impl<'a> GenState<'a> {
             universe: self.n,
             constraints,
         };
-        let sol = match solver {
-            SolverKind::Naive => solve_set_naive_budgeted(&sys, meter)?,
-            _ => solve_set_worklist_budgeted(&sys, meter)?,
-        };
+        let sol = solver.solve_set(&sys, meter)?;
         let (passes, evals) = (sol.passes, sol.evals);
         self.slab = Some(sol);
         Ok((count, passes, evals))
@@ -520,10 +516,7 @@ pub fn analyze_condensed_budgeted(
         universe: n,
         constraints: std::mem::take(&mut g.l1),
     };
-    let l1 = match solver {
-        SolverKind::Naive => solve_set_naive_budgeted(&l1_sys, &mut meter)?,
-        _ => solve_set_worklist_budgeted(&l1_sys, &mut meter)?,
-    };
+    let l1 = solver.solve_set(&l1_sys, &mut meter)?;
     if let Err(stop @ Stop::Cancelled) = meter.checkpoint() {
         return Err(stop.into());
     }
@@ -553,11 +546,7 @@ pub fn analyze_condensed_budgeted(
             })
             .collect(),
     };
-    let l2 = match solver {
-        SolverKind::Naive => solve_pair_naive_budgeted(&l2_sys, &mut meter)?,
-        SolverKind::Worklist => solve_pair_worklist_budgeted(&l2_sys, &mut meter)?,
-        SolverKind::Scc => fx10_core::scc::solve_pair_scc_budgeted(&l2_sys, &mut meter)?,
-    };
+    let l2 = solver.solve_pair(&l2_sys, &mut meter)?;
 
     let stats = AnalysisStats {
         slabels_constraints: slab_count,

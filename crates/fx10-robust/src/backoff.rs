@@ -1,11 +1,10 @@
 //! Decorrelated-jitter retry backoff.
 //!
-//! Shared by the degradation ladder (`fx10_core::analysis::Supervisor`)
-//! and the shard supervisor ([`crate::shard`]): both restart failed
-//! engines, and both must avoid the retry-herd synchronization plain
-//! exponential backoff suffers from. The generator is a tiny xorshift64
-//! PRNG — deterministic from its seed, dependency-free, and explicitly
-//! *not* for anything security- or statistics-sensitive.
+//! Paces the shard supervisor's ([`crate::shard`]) restarts of crashed
+//! or wedged worker processes, avoiding the retry-herd synchronization
+//! plain exponential backoff suffers from. The generator is a tiny
+//! xorshift64 PRNG — deterministic from its seed, dependency-free, and
+//! explicitly *not* for anything security- or statistics-sensitive.
 
 use std::time::Duration;
 

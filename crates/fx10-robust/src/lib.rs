@@ -232,19 +232,6 @@ impl Budget {
         self
     }
 
-    /// True if any limit is set.
-    pub fn is_limited(&self) -> bool {
-        self.max_states.is_some()
-            || self.max_iters.is_some()
-            || self.deadline.is_some()
-            || self.max_set_bytes.is_some()
-    }
-
-    /// Checks the state cap against a current count.
-    pub fn states_exhausted(&self, states: usize) -> bool {
-        self.max_states.is_some_and(|cap| states >= cap)
-    }
-
     /// Checks the memory cap against a current (approximate) footprint.
     pub fn memory_exhausted(&self, bytes: usize) -> bool {
         self.max_set_bytes.is_some_and(|cap| bytes >= cap)
@@ -364,19 +351,6 @@ impl BudgetMeter {
         self.checkpoint()
     }
 
-    /// How many ticks remain before the iteration cap trips (`None` when
-    /// unlimited).
-    pub fn iters_remaining(&self) -> Option<u64> {
-        self.budget
-            .max_iters
-            .map(|cap| cap.saturating_sub(self.iters))
-    }
-
-    /// The cancel token this meter observes.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Polls cancellation and the deadline immediately (phase
     /// boundaries).
     pub fn checkpoint(&mut self) -> Result<(), Stop> {
@@ -439,11 +413,6 @@ impl SharedMeter {
     /// The budget being enforced.
     pub fn budget(&self) -> Budget {
         self.budget
-    }
-
-    /// The cancel token all workers observe.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
     }
 
     /// Atomically reserves `n` state credits against `cap` (the engine's

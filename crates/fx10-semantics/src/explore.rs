@@ -22,13 +22,14 @@
 //! - The **sequential reference** ([`explore_budgeted`]) is a cloned-tree
 //!   breadth-first search — deliberately simple, the oracle the
 //!   differential tests trust.
-//! - The **interned engine** ([`explore_parallel_budgeted`],
-//!   [`explore_interned_budgeted`]) hash-conses every statement, tree and
-//!   array into 32-bit ids (see [`crate::intern`]) so a state is one
-//!   packed `u64`, and drains the frontier with *work-stealing* workers:
-//!   each worker owns a deque (push/pop at the back), steals the front
-//!   half of a victim's deque when empty, and all workers share one
-//!   [`SharedMeter`] so a global budget bounds the whole crew.
+//! - The **interned engine** ([`explore_parallel_durable`], and its
+//!   `jobs = 1` form [`explore_interned_budgeted`]) hash-conses every
+//!   statement, tree and array into 32-bit ids (see [`crate::intern`])
+//!   so a state is one packed `u64`, and drains the frontier with
+//!   *work-stealing* workers: each worker owns a deque (push/pop at the
+//!   back), steals the front half of a victim's deque when empty, and
+//!   all workers share one [`SharedMeter`] so a global budget bounds the
+//!   whole crew.
 //!
 //! Both engines deduplicate states by **canonical `∥`-form** by default
 //! ([`ExploreConfig::canonical_dedup`]): `T₁ ∥ T₂` and `T₂ ∥ T₁` are the
@@ -302,23 +303,28 @@ fn explore_budgeted_with_sink(
             continue;
         }
         for s in succ {
-            if visited.len() >= max_states {
-                exhausted = Some(Exhaustion::States);
-                break 'bfs;
-            }
-            if budget.memory_exhausted(approx_bytes) {
-                exhausted = Some(Exhaustion::Memory);
-                break 'bfs;
-            }
             let next = State {
                 array: s.array,
                 tree: shape(&config, s.tree),
             };
-            if visited.insert(next.clone()) {
-                sink(&next.array, &next.tree);
-                approx_bytes += next.approx_bytes();
-                queue.push_back(next);
+            if visited.contains(&next) {
+                continue;
             }
+            // Both limits are checked only when admitting a new state, as
+            // in the interned engine: a space of exactly `max_states`
+            // states completes untruncated.
+            if visited.len() >= max_states {
+                exhausted = Some(Exhaustion::States);
+                break 'bfs;
+            }
+            approx_bytes += next.approx_bytes();
+            if budget.memory_exhausted(approx_bytes) {
+                exhausted = Some(Exhaustion::Memory);
+                break 'bfs;
+            }
+            sink(&next.array, &next.tree);
+            visited.insert(next.clone());
+            queue.push_back(next);
         }
     }
 
@@ -358,30 +364,6 @@ fn lock_shard<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Multi-threaded exploration. Computes the same [`Exploration`] sets as
-/// [`explore`] (`visited` may differ by a few states around the truncation
-/// point; on non-truncated runs all fields except queue-order artifacts
-/// are identical). Infallible legacy entry point.
-pub fn explore_parallel(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    threads: usize,
-) -> Exploration {
-    match explore_parallel_budgeted(
-        p,
-        input,
-        config,
-        threads,
-        Budget::unlimited(),
-        &CancelToken::new(),
-        &FaultPlan::none(),
-    ) {
-        Ok(e) => e,
-        Err(_) => Exploration::empty_truncated(),
-    }
-}
-
 /// Single-threaded exploration on the *interned* engine — same
 /// hash-consed representation as the parallel explorer, no worker
 /// threads. Useful as the `jobs = 1` point of scaling comparisons and as
@@ -393,7 +375,16 @@ pub fn explore_interned_budgeted(
     budget: Budget,
     cancel: &CancelToken,
 ) -> Result<Exploration, Fx10Error> {
-    explore_parallel_budgeted(p, input, config, 1, budget, cancel, &FaultPlan::none())
+    explore_parallel_durable(
+        p,
+        input,
+        config,
+        1,
+        budget,
+        cancel,
+        &FaultPlan::none(),
+        Durability::default(),
+    )
 }
 
 /// Periodic durable checkpointing for the parallel explorer.
@@ -818,37 +809,6 @@ impl Engine<'_> {
     }
 }
 
-/// Multi-threaded work-stealing exploration on hash-consed state ids,
-/// under a [`Budget`], a [`CancelToken`] and a [`FaultPlan`].
-///
-/// All workers share one [`SharedMeter`], so the state budget bounds the
-/// *crew*: total admitted states never exceed the cap by more than one
-/// reservation batch per worker. Worker panics — organic or injected by
-/// the plan — are caught per worker; the first one is reported as
-/// [`Fx10Error::WorkerPanicked`] after all workers have drained (the
-/// process never aborts, and no worker is left blocked). Cancellation
-/// wins over budget exhaustion; panics win over both.
-pub fn explore_parallel_budgeted(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    threads: usize,
-    budget: Budget,
-    cancel: &CancelToken,
-    faults: &FaultPlan,
-) -> Result<Exploration, Fx10Error> {
-    explore_parallel_durable(
-        p,
-        input,
-        config,
-        threads,
-        budget,
-        cancel,
-        faults,
-        Durability::default(),
-    )
-}
-
 /// Resolves the fault flags left behind by a joined crew into the one
 /// error the run reports — the *join precedence* pinned by DESIGN.md
 /// §10 and the `settle_precedence_*` tests:
@@ -888,9 +848,17 @@ pub fn settle_outcome(
     Ok(())
 }
 
-/// [`explore_parallel_budgeted`] plus the durability/supervision layer:
-/// periodic consistent checkpoints, resume-from-snapshot, and a
-/// heartbeat watchdog (see [`Durability`]).
+/// Multi-threaded work-stealing exploration on hash-consed state ids,
+/// under a [`Budget`], a [`CancelToken`] and a [`FaultPlan`], plus the
+/// durability/supervision layer: periodic consistent checkpoints,
+/// resume-from-snapshot, and a heartbeat watchdog (see [`Durability`];
+/// `Durability::default()` turns all three off).
+///
+/// All workers share one [`SharedMeter`], so the state budget bounds the
+/// *crew*: total admitted states never exceed the cap by more than one
+/// reservation batch per worker. Worker panics — organic or injected by
+/// the plan — are caught per worker and reported after all workers have
+/// drained (the process never aborts, and no worker is left blocked).
 ///
 /// Error precedence after the crew joins: a worker panic wins over a
 /// stall, a stall ([`Fx10Error::WorkerStalled`]) over an injected kill,
@@ -1345,6 +1313,20 @@ mod tests {
             .is_done());
     }
 
+    fn parallel_unlimited(p: &Program, jobs: usize) -> Exploration {
+        explore_parallel_durable(
+            p,
+            &[],
+            ExploreConfig::default(),
+            jobs,
+            Budget::unlimited(),
+            &CancelToken::new(),
+            &FaultPlan::none(),
+            Durability::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn parallel_explorer_matches_sequential() {
         for src in [
@@ -1353,7 +1335,7 @@ mod tests {
         ] {
             let p = Program::parse(src).unwrap();
             let seq = explore(&p, &[], ExploreConfig::default());
-            let par = explore_parallel(&p, &[], ExploreConfig::default(), 4);
+            let par = parallel_unlimited(&p, 4);
             assert_eq!(seq.mhp, par.mhp);
             assert_eq!(seq.visited, par.visited);
             assert_eq!(seq.terminals, par.terminals);
@@ -1361,7 +1343,7 @@ mod tests {
         }
         let p = examples::example_2_1();
         let seq = explore(&p, &[], ExploreConfig::default());
-        let par = explore_parallel(&p, &[], ExploreConfig::default(), 8);
+        let par = parallel_unlimited(&p, 8);
         assert_eq!(seq.mhp, par.mhp);
         assert_eq!(seq.visited, par.visited);
     }
@@ -1399,7 +1381,7 @@ mod tests {
     fn adversarial_schedule_computes_the_same_sets() {
         let p = examples::example_2_1();
         let seq = explore(&p, &[], ExploreConfig::default());
-        let adv = explore_parallel_budgeted(
+        let adv = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -1410,6 +1392,7 @@ mod tests {
                 adversarial_schedule: true,
                 ..FaultPlan::none()
             },
+            Durability::default(),
         )
         .unwrap();
         assert_eq!(seq.mhp, adv.mhp);
@@ -1420,7 +1403,7 @@ mod tests {
     #[test]
     fn injected_worker_panic_is_contained() {
         let p = examples::example_2_1();
-        let err = explore_parallel_budgeted(
+        let err = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -1434,6 +1417,7 @@ mod tests {
                 }),
                 ..FaultPlan::none()
             },
+            Durability::default(),
         )
         .unwrap_err();
         match err {
@@ -1449,7 +1433,7 @@ mod tests {
         let p = examples::example_2_1();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = explore_parallel_budgeted(
+        let err = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -1457,6 +1441,7 @@ mod tests {
             Budget::unlimited(),
             &cancel,
             &FaultPlan::none(),
+            Durability::default(),
         )
         .unwrap_err();
         assert_eq!(err, Fx10Error::Cancelled);
@@ -1505,7 +1490,7 @@ mod tests {
         let p =
             Program::parse("def main() { a[0] = 1; while (a[0] != 0) { async { B; } } }").unwrap();
         for jobs in [1usize, 2, 8] {
-            let e = explore_parallel_budgeted(
+            let e = explore_parallel_durable(
                 &p,
                 &[],
                 ExploreConfig::default(),
@@ -1513,6 +1498,7 @@ mod tests {
                 Budget::unlimited().with_max_states(300),
                 &CancelToken::new(),
                 &FaultPlan::none(),
+                Durability::default(),
             )
             .unwrap();
             assert!(e.truncated, "jobs={jobs}");

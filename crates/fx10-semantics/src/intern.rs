@@ -243,11 +243,6 @@ impl Interner {
         it
     }
 
-    /// Is this interner building canonical `∥` forms?
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
-    }
-
     // -- statements ---------------------------------------------------------
 
     /// Interns a statement (and, transitively, all its suffixes, so

@@ -33,11 +33,9 @@ pub struct RunOutcome {
     pub array: ArrayState,
     /// Steps taken.
     pub steps: u64,
-    /// True when the tree reached `√`; false when a budget ran out (or,
-    /// for [`replay`], the trace ended early).
+    /// True when the tree reached `√`; false when a budget ran out.
     pub completed: bool,
-    /// Which budget ended an incomplete run (`None` for completed runs
-    /// and for trace-exhausted replays).
+    /// Which budget ended an incomplete run (`None` for completed runs).
     pub exhausted: Option<Exhaustion>,
 }
 
@@ -136,103 +134,6 @@ pub fn run_result(p: &Program, input: &[i64], scheduler: Scheduler) -> Option<i6
     out.completed.then(|| out.array.result())
 }
 
-/// As [`run`], but also records the schedule: the index of the chosen
-/// successor at every step. The trace replays bit-for-bit with
-/// [`replay`] — the tool for reproducing a racy execution (e.g. one found
-/// by a random scheduler) deterministically.
-pub fn run_traced(
-    p: &Program,
-    input: &[i64],
-    scheduler: Scheduler,
-    max_steps: u64,
-) -> (RunOutcome, Vec<u32>) {
-    let mut array = ArrayState::with_input(p, input);
-    let mut tree = initial_tree(p);
-    let mut rng = match &scheduler {
-        Scheduler::Random(seed) => Some(StdRng::seed_from_u64(*seed)),
-        _ => None,
-    };
-    let mut steps = 0u64;
-    let mut trace = Vec::new();
-    while !tree.is_done() && steps < max_steps {
-        let succ = successors(p, &array, &tree);
-        let idx = match &scheduler {
-            Scheduler::Leftmost => 0,
-            Scheduler::Rightmost => succ.len() - 1,
-            Scheduler::Random(_) => rng.as_mut().unwrap().gen_range(0..succ.len()),
-        };
-        trace.push(idx as u32);
-        let chosen = succ.into_iter().nth(idx).unwrap();
-        array = chosen.array;
-        tree = chosen.tree;
-        steps += 1;
-    }
-    let completed = tree.is_done();
-    (
-        RunOutcome {
-            completed,
-            exhausted: (!completed).then_some(Exhaustion::Steps),
-            array,
-            steps,
-        },
-        trace,
-    )
-}
-
-/// A recorded schedule that does not fit the program's transitions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayError {
-    /// Step at which the trace diverged.
-    pub step: u64,
-    /// The invalid choice index.
-    pub choice: u32,
-    /// How many successors the state actually had.
-    pub available: usize,
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "replay diverged at step {}: choice {} of {} successors",
-            self.step, self.choice, self.available
-        )
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
-/// Replays a schedule recorded by [`run_traced`]. Stops when the trace is
-/// exhausted (completed = whether the tree reached `√` by then).
-pub fn replay(p: &Program, input: &[i64], trace: &[u32]) -> Result<RunOutcome, ReplayError> {
-    let mut array = ArrayState::with_input(p, input);
-    let mut tree = initial_tree(p);
-    let mut steps = 0u64;
-    for &choice in trace {
-        if tree.is_done() {
-            break;
-        }
-        let succ = successors(p, &array, &tree);
-        if choice as usize >= succ.len() {
-            return Err(ReplayError {
-                step: steps,
-                choice,
-                available: succ.len(),
-            });
-        }
-        let chosen = succ.into_iter().nth(choice as usize).unwrap();
-        array = chosen.array;
-        tree = chosen.tree;
-        steps += 1;
-    }
-    Ok(RunOutcome {
-        completed: tree.is_done(),
-        exhausted: None,
-        array,
-        steps,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,53 +208,6 @@ mod tests {
         let left = run_result(&p, &[], Scheduler::Leftmost).unwrap();
         let right = run_result(&p, &[], Scheduler::Rightmost).unwrap();
         assert_eq!((left, right), (2, 1));
-    }
-
-    #[test]
-    fn traced_runs_replay_exactly() {
-        let p = examples::add_twice();
-        for sched in [
-            Scheduler::Leftmost,
-            Scheduler::Rightmost,
-            Scheduler::Random(99),
-        ] {
-            let (out, trace) = run_traced(&p, &[0, 1, 0], sched, 100_000);
-            assert!(out.completed);
-            let replayed = replay(&p, &[0, 1, 0], &trace).unwrap();
-            assert_eq!(out, replayed, "replay must be bit-for-bit");
-        }
-    }
-
-    #[test]
-    fn replay_reproduces_a_racy_outcome() {
-        // Find a schedule where the async writer loses the race, then
-        // reproduce it deterministically.
-        let p = Program::parse("def main() { async { a[0] = 1; } a[0] = 2; }").unwrap();
-        let mut found = None;
-        for seed in 0..64 {
-            let (out, trace) = run_traced(&p, &[], Scheduler::Random(seed), 1000);
-            if out.array.result() == 1 {
-                found = Some(trace);
-                break;
-            }
-        }
-        let trace = found.expect("some schedule ends with a[0] = 1");
-        for _ in 0..3 {
-            assert_eq!(replay(&p, &[], &trace).unwrap().array.result(), 1);
-        }
-    }
-
-    #[test]
-    fn replay_rejects_invalid_traces() {
-        let p = Program::parse("def main() { S1; }").unwrap();
-        let err = replay(&p, &[], &[7]).unwrap_err();
-        assert_eq!(err.step, 0);
-        assert_eq!(err.available, 1);
-        // A short trace simply stops early.
-        let p2 = Program::parse("def main() { S1; S2; }").unwrap();
-        let out = replay(&p2, &[], &[0]).unwrap();
-        assert!(!out.completed);
-        assert_eq!(out.steps, 1);
     }
 
     #[test]

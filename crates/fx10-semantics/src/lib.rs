@@ -22,7 +22,9 @@
 //! - [`explore`](mod@explore): exhaustive (sequential and multi-threaded) state-space
 //!   exploration computing the *dynamic* may-happen-in-parallel relation
 //!   `MHP(p) = ∪ { parallel(T) | (p,A₀,⟨s₀⟩) →* (p,A,T) }` and checking
-//!   the deadlock-freedom theorem (Theorem 1) on every visited state.
+//!   the deadlock-freedom theorem (Theorem 1) on every visited state,
+//! - [`witness`]: a bounded search for a schedule exhibiting a label pair
+//!   ([`find_witness`]) and its replay ([`witness_exhibits`]).
 
 #![warn(missing_docs)]
 pub mod explore;
@@ -37,9 +39,9 @@ pub mod tree;
 pub mod witness;
 
 pub use explore::{
-    explore, explore_budgeted, explore_interned_budgeted, explore_parallel,
-    explore_parallel_budgeted, explore_parallel_durable, explore_sampled, settle_outcome,
-    CheckpointSpec, Durability, Exploration, ExploreConfig, FrontSample, WatchdogSpec,
+    explore, explore_budgeted, explore_interned_budgeted, explore_parallel_durable,
+    explore_sampled, settle_outcome, CheckpointSpec, Durability, Exploration, ExploreConfig,
+    FrontSample, WatchdogSpec,
 };
 pub use intern::{ArrayId, Interner, StmtId, TreeId};
 pub use interp::{run, run_budgeted, run_result, RunOutcome, Scheduler};
@@ -50,4 +52,4 @@ pub use shard::{
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;
 pub use tree::Tree;
-pub use witness::{find_witness, find_witness_simple, witness_exhibits, Witness, WitnessSearch};
+pub use witness::{find_witness, witness_exhibits, Witness, WitnessSearch};

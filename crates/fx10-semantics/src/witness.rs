@@ -5,9 +5,8 @@
 //! program to a state whose `parallel(T)` contains the pair — then both
 //! racing instructions are enabled redexes at once. This module searches
 //! for such a schedule with a bounded breadth-first exploration and
-//! returns it as a trace of successor-choice indices, the same format
-//! [`run_traced`](crate::interp::run_traced) records and
-//! [`replay`](crate::interp::replay) consumes.
+//! returns it as a trace of successor-choice indices, which
+//! [`witness_exhibits`] replays through the same successor enumeration.
 //!
 //! Unlike the main explorer, the search runs over **raw** trees: no
 //! `∥`-canonicalization and no administrative normalization. Canonical
@@ -23,7 +22,7 @@ use crate::step::{initial_tree, successors};
 use crate::tree::Tree;
 
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Fx10Error, Stop};
-use fx10_syntax::{Label, Program};
+use fx10_syntax::Program;
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
@@ -160,33 +159,22 @@ pub fn witness_exhibits(p: &Program, input: &[i64], schedule: &[u32], target: La
     parallel(&tree).contains(&target)
 }
 
-/// Convenience for diagnostics: searches for a witness of `(a, b)` with
-/// an unlimited time budget and no cancellation.
-pub fn find_witness_simple(
-    p: &Program,
-    input: &[i64],
-    a: Label,
-    b: Label,
-    max_states: usize,
-) -> WitnessSearch {
-    match find_witness(
-        p,
-        input,
-        (a, b),
-        max_states,
-        Budget::unlimited(),
-        &CancelToken::new(),
-    ) {
-        Ok(w) => w,
-        // Unreachable (nobody cancels), but degrade rather than panic.
-        Err(_) => WitnessSearch::Exhausted { states: 0 },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::replay;
+    use fx10_syntax::Label;
+
+    fn search(p: &Program, a: Label, b: Label, max_states: usize) -> WitnessSearch {
+        find_witness(
+            p,
+            &[],
+            (a, b),
+            max_states,
+            Budget::unlimited(),
+            &CancelToken::new(),
+        )
+        .unwrap()
+    }
 
     fn racey() -> Program {
         Program::parse("def main() { W1: async { a[0] = 1; } W2: a[0] = 2; }").unwrap()
@@ -198,11 +186,13 @@ mod tests {
         // The racing accesses: the assign inside W1's async body, and W2.
         let w1 = Label(p.labels().lookup("W1").unwrap().0 + 1);
         let w2 = p.labels().lookup("W2").unwrap();
-        match find_witness_simple(&p, &[], w1, w2, 10_000) {
+        match search(&p, w1, w2, 10_000) {
             WitnessSearch::Found(w) => {
                 assert!(witness_exhibits(&p, &[], &w.schedule, w.pair));
-                // The schedule replays cleanly through the interpreter.
-                assert!(replay(&p, &[], &w.schedule).is_ok());
+                // A schedule with an out-of-range choice exhibits nothing.
+                let mut bad = w.schedule.clone();
+                bad.push(u32::MAX);
+                assert!(!witness_exhibits(&p, &[], &bad, w.pair));
             }
             other => panic!("expected a witness, got {other:?}"),
         }
@@ -216,7 +206,7 @@ mod tests {
         let y = p.labels().lookup("Y").unwrap();
         // X's body and Y never co-occur; the search must prove it.
         let body = Label(x.0 + 1);
-        match find_witness_simple(&p, &[], body, y, 10_000) {
+        match search(&p, body, y, 10_000) {
             WitnessSearch::Refuted { states } => assert!(states > 0),
             other => panic!("expected refuted, got {other:?}"),
         }
@@ -230,12 +220,12 @@ mod tests {
             .unwrap();
         let x = p.labels().lookup("X").unwrap();
         let y = p.labels().lookup("Y").unwrap();
-        match find_witness_simple(&p, &[], x, y, 1) {
+        match search(&p, x, y, 1) {
             WitnessSearch::Exhausted { .. } => {}
             other => panic!("expected exhausted, got {other:?}"),
         }
         // With room to search, the same pair gets a witness.
-        match find_witness_simple(&p, &[], x, y, 10_000) {
+        match search(&p, x, y, 10_000) {
             WitnessSearch::Found(w) => {
                 assert!(witness_exhibits(&p, &[], &w.schedule, (x, y)));
             }
@@ -248,8 +238,8 @@ mod tests {
         let p = racey();
         let w1 = Label(p.labels().lookup("W1").unwrap().0 + 1);
         let w2 = p.labels().lookup("W2").unwrap();
-        let a = find_witness_simple(&p, &[], w1, w2, 10_000);
-        let b = find_witness_simple(&p, &[], w1, w2, 10_000);
+        let a = search(&p, w1, w2, 10_000);
+        let b = search(&p, w1, w2, 10_000);
         assert_eq!(a, b);
     }
 }

@@ -18,7 +18,7 @@
 
 use fx10::robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
 use fx10::semantics::{
-    explore_budgeted, explore_parallel_budgeted, explore_parallel_durable, CheckpointSpec,
+    explore_budgeted, explore_interned_budgeted, explore_parallel_durable, CheckpointSpec,
     Durability, Exploration, ExploreConfig, ExplorerSnapshot,
 };
 use fx10::suite::{random_fx10, RandomConfig};
@@ -50,7 +50,7 @@ fn reference(p: &Program, config: ExploreConfig) -> Exploration {
 }
 
 fn parallel(p: &Program, config: ExploreConfig, jobs: usize) -> Exploration {
-    explore_parallel_budgeted(
+    explore_parallel_durable(
         p,
         &[],
         config,
@@ -58,6 +58,7 @@ fn parallel(p: &Program, config: ExploreConfig, jobs: usize) -> Exploration {
         Budget::unlimited(),
         &CancelToken::new(),
         &FaultPlan::none(),
+        Durability::default(),
     )
     .expect("parallel explorer cannot fail without budget, cancel or faults")
 }
@@ -147,13 +148,43 @@ fn canonical_dedup_visited_counts_are_pinned_for_fixtures() {
     }
 }
 
+/// Both engines count the state cap in admitted states: a space of
+/// exactly `cap` states completes, and one fewer truncates on `States`
+/// after admitting exactly `cap`.
+#[test]
+fn cloned_and_interned_engines_agree_at_the_state_cap() {
+    let programs = [
+        Program::parse("def main() { async { B; } K; }").unwrap(),
+        load("programs/example22.fx10"),
+        load("programs/fork_join.fx10"),
+        load("programs/racey.fx10"),
+    ];
+    for p in &programs {
+        let reachable = reference(p, ExploreConfig::default()).visited;
+        for (cap, truncated) in [(reachable, false), (reachable - 1, true)] {
+            let budget = Budget::unlimited().with_max_states(cap);
+            let cancel = CancelToken::new();
+            let config = ExploreConfig::default();
+            let cloned = explore_budgeted(p, &[], config, budget, &cancel).unwrap();
+            let interned = explore_interned_budgeted(p, &[], config, budget, &cancel).unwrap();
+            for (engine, e) in [("cloned", &cloned), ("interned", &interned)] {
+                let label = format!("{engine} engine, {reachable} states, cap {cap}");
+                assert_eq!(e.truncated, truncated, "{label}");
+                let want = truncated.then_some(Exhaustion::States);
+                assert_eq!(e.exhausted, want, "{label}");
+                assert_eq!(e.visited, cap, "{label}");
+            }
+        }
+    }
+}
+
 #[test]
 fn adversarial_schedules_are_semantically_invisible_to_the_oracle() {
     for path in ["programs/example22.fx10", "programs/fork_join.fx10"] {
         let p = load(path);
         let want = reference(&p, digest_config());
         for jobs in JOBS {
-            let got = explore_parallel_budgeted(
+            let got = explore_parallel_durable(
                 &p,
                 &[],
                 digest_config(),
@@ -164,6 +195,7 @@ fn adversarial_schedules_are_semantically_invisible_to_the_oracle() {
                     adversarial_schedule: true,
                     ..FaultPlan::none()
                 },
+                Durability::default(),
             )
             .unwrap();
             assert_identical(&format!("{path} adversarial jobs={jobs}"), &want, &got);
@@ -177,7 +209,7 @@ fn explore_with_panic_fault(
     victim: usize,
     adversarial: bool,
 ) -> Result<Exploration, Fx10Error> {
-    explore_parallel_budgeted(
+    explore_parallel_durable(
         p,
         &[],
         ExploreConfig::default(),
@@ -192,6 +224,7 @@ fn explore_with_panic_fault(
             adversarial_schedule: adversarial,
             ..FaultPlan::none()
         },
+        Durability::default(),
     )
 }
 
@@ -250,7 +283,7 @@ fn shared_state_budget_bounds_the_crew_within_one_batch_per_worker() {
     let p = load("programs/fork_join.fx10");
     let budget_states = 40usize;
     for jobs in JOBS {
-        let e = explore_parallel_budgeted(
+        let e = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -258,6 +291,7 @@ fn shared_state_budget_bounds_the_crew_within_one_batch_per_worker() {
             Budget::unlimited().with_max_states(budget_states),
             &CancelToken::new(),
             &FaultPlan::none(),
+            Durability::default(),
         )
         .unwrap();
         assert!(e.truncated, "jobs={jobs}");

@@ -14,8 +14,8 @@
 use fx10::analysis::analyze_ci;
 use fx10::analysis::race::{accesses, detect_races_with};
 use fx10::lints::{lint, Confidence, LintOptions};
-use fx10::robust::CancelToken;
-use fx10::semantics::witness::{find_witness_simple, witness_exhibits, WitnessSearch};
+use fx10::robust::{Budget, CancelToken};
+use fx10::semantics::witness::{find_witness, witness_exhibits, WitnessSearch};
 use fx10::semantics::{explore, ExploreConfig};
 use fx10::suite::{random_fx10_loop_free, RandomConfig};
 use proptest::prelude::*;
@@ -46,9 +46,10 @@ proptest! {
         let races = detect_races_with(&accesses(&p), |x, y| ci.may_happen_in_parallel(x, y));
         for race in &races {
             let target = (race.first.label, race.second.label);
-            if let WitnessSearch::Found(w) =
-                find_witness_simple(&p, &[], target.0, target.1, 60_000)
-            {
+            let search =
+                find_witness(&p, &[], target, 60_000, Budget::unlimited(), &CancelToken::new())
+                    .expect("nobody cancels");
+            if let WitnessSearch::Found(w) = search {
                 prop_assert!(
                     witness_exhibits(&p, &[], &w.schedule, target),
                     "schedule {:?} does not exhibit {:?}",

@@ -21,8 +21,8 @@ use fx10::analysis::{
 };
 use fx10::robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
 use fx10::semantics::{
-    explore, explore_budgeted, explore_parallel_budgeted, explore_parallel_durable, run_budgeted,
-    CheckpointSpec, Durability, ExploreConfig, ExplorerSnapshot, Scheduler, WatchdogSpec,
+    explore, explore_budgeted, explore_parallel_durable, run_budgeted, CheckpointSpec, Durability,
+    ExploreConfig, ExplorerSnapshot, Scheduler, WatchdogSpec,
 };
 use fx10::suite::{random_fx10, RandomConfig};
 use proptest::prelude::*;
@@ -57,14 +57,10 @@ proptest! {
         methods in 1usize..4,
         stmts in 1usize..5,
         iters in 1u64..400,
-        solver_pick in 0usize..3,
+        solver_pick in 0usize..2,
     ) {
         let p = random_fx10(cfg(seed, methods, stmts, 2));
-        let solver = [
-            SolverKind::Naive,
-            SolverKind::Worklist,
-            SolverKind::Scc,
-        ][solver_pick];
+        let solver = [SolverKind::Naive, SolverKind::Worklist][solver_pick];
         let budget = Budget::unlimited().with_max_iters(iters);
         let cancel = CancelToken::new();
         let partial = analyze_with_budget(&p, Mode::ContextSensitive, solver, budget, &cancel)
@@ -99,7 +95,7 @@ proptest! {
             panic_worker: Some(PanicFault { worker, after_states: after }),
             ..FaultPlan::none()
         };
-        let r = explore_parallel_budgeted(
+        let r = explore_parallel_durable(
             &p,
             &[],
             small_explore(),
@@ -107,6 +103,7 @@ proptest! {
             Budget::unlimited(),
             &CancelToken::new(),
             &faults,
+            Durability::default(),
         );
         match r {
             Ok(e) => {
@@ -253,7 +250,7 @@ fn forced_budget_trip_tags_the_partial_exploration() {
         trip_states_after: Some(1),
         ..FaultPlan::none()
     };
-    let e = explore_parallel_budgeted(
+    let e = explore_parallel_durable(
         &p,
         &[],
         small_explore(),
@@ -261,6 +258,7 @@ fn forced_budget_trip_tags_the_partial_exploration() {
         Budget::unlimited(),
         &CancelToken::new(),
         &faults,
+        Durability::default(),
     )
     .expect("a forced budget trip is a partial result, not an error");
     assert!(e.truncated);
@@ -280,7 +278,7 @@ fn deterministic_injected_panic_reports_worker_zero() {
         }),
         ..FaultPlan::none()
     };
-    let r = explore_parallel_budgeted(
+    let r = explore_parallel_durable(
         &p,
         &[],
         small_explore(),
@@ -288,6 +286,7 @@ fn deterministic_injected_panic_reports_worker_zero() {
         Budget::unlimited(),
         &CancelToken::new(),
         &faults,
+        Durability::default(),
     );
     match r {
         Err(Fx10Error::WorkerPanicked { worker, message }) => {
@@ -346,7 +345,7 @@ fn adversarial_schedule_is_semantically_invisible() {
         adversarial_schedule: true,
         ..FaultPlan::none()
     };
-    let lifo = explore_parallel_budgeted(
+    let lifo = explore_parallel_durable(
         &p,
         &[],
         small_explore(),
@@ -354,6 +353,7 @@ fn adversarial_schedule_is_semantically_invisible() {
         Budget::unlimited(),
         &CancelToken::new(),
         &faults,
+        Durability::default(),
     )
     .expect("scheduling order must not introduce failures");
     let fifo = explore(&p, &[], small_explore());
@@ -492,7 +492,7 @@ fn watchdog_converts_a_wedged_worker_into_a_typed_stall() {
 
 /// A wedge that defeats every parallel attempt sends the supervisor down
 /// to the sequential rung, which still answers with the *exact* dynamic
-/// MHP relation — and the trace records the stalls and backoffs.
+/// MHP relation — and the trace records the stalls and the retries.
 #[test]
 fn supervisor_answers_on_the_sequential_rung_under_a_persistent_wedge() {
     let p = fork_join();
@@ -505,9 +505,6 @@ fn supervisor_answers_on_the_sequential_rung_under_a_persistent_wedge() {
     };
     let sup = Supervisor {
         jobs: 2,
-        max_retries: 1,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(5),
         stall_after: Duration::from_millis(150),
         poll: Duration::from_millis(10),
         ..Supervisor::default()
@@ -523,6 +520,11 @@ fn supervisor_answers_on_the_sequential_rung_under_a_persistent_wedge() {
     assert!(
         ans.trace.iter().any(|l| l.contains("stalled")),
         "trace must record the stall: {:?}",
+        ans.trace
+    );
+    assert!(
+        ans.trace.iter().any(|l| l == "retrying with 1 jobs"),
+        "trace must record the halved retry: {:?}",
         ans.trace
     );
 }

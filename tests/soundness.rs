@@ -13,7 +13,8 @@
 //! whatever was reached either way (`dynamic ⊆ static` is monotone).
 
 use fx10::analysis::{analyze, analyze_ci};
-use fx10::semantics::{explore, explore_parallel, ExploreConfig};
+use fx10::robust::{Budget, CancelToken, FaultPlan};
+use fx10::semantics::{explore, explore_parallel_durable, Durability, ExploreConfig};
 use fx10::suite::{random_fx10, RandomConfig};
 use proptest::prelude::*;
 
@@ -111,7 +112,17 @@ fn parallel_explorer_agrees_with_sequential_on_random_programs() {
         if a.truncated {
             continue; // the two explorers may truncate differently
         }
-        let b = explore_parallel(&p, &[], cap, 4);
+        let b = explore_parallel_durable(
+            &p,
+            &[],
+            cap,
+            4,
+            Budget::unlimited(),
+            &CancelToken::new(),
+            &FaultPlan::none(),
+            Durability::default(),
+        )
+        .unwrap();
         assert_eq!(a.mhp, b.mhp, "seed {seed}");
         assert_eq!(a.visited, b.visited, "seed {seed}");
         assert_eq!(a.terminals, b.terminals, "seed {seed}");
