@@ -110,7 +110,7 @@ fn usage() -> ExitCode {
            --format <text|json|sarif>                   lint report format (lint)\n\
            --deny <code>                                exit 1 on matching findings (lint)\n\
            --allow <code>                               suppress matching findings (lint)\n\
-           --witness-states N                           witness search cap, 0 = off (lint)\n\
+           --witness-states N                           per-finding witness state cap, one shared search; 0 = off (lint)\n\
            --domain <const|interval|parity>             abstract domain (absint/lint/race)\n\
            --ci                                         context-insensitive analysis\n\
            --solver <naive|worklist>                    fixed-point algorithm\n\

@@ -30,13 +30,18 @@ pub struct LintOptions {
     /// Initial array contents (padded/truncated to the program's array
     /// length); drives the witness search and the stuck-loop proof.
     pub input: Vec<i64>,
-    /// Per-finding cap on distinct raw states the witness search may
-    /// admit. 0 disables witness search: every race keeps its static
-    /// tier, tagged may-be-spurious.
+    /// Witness-search cap on distinct raw states: each finding's
+    /// outcome equals that of a search for its label pair alone capped
+    /// at this many states, all served by one shared search. 0 disables
+    /// witness search: every race keeps its static tier, tagged
+    /// may-be-spurious.
     pub witness_states: usize,
     /// Solver for the two static analyses.
     pub solver: SolverKind,
-    /// Resource budget shared by the analyses and every witness search.
+    /// Resource budget shared by the analyses and the witness search.
+    /// Its `max_iters` caps each finding's search like `witness_states`
+    /// does; its deadline, when it trips, ends the shared search and
+    /// leaves every finding still unresolved may-be-spurious at once.
     pub budget: Budget,
     /// Abstract domain for the value analysis backing the feasibility
     /// oracle and the stuck-loop proofs.

@@ -5,8 +5,10 @@
 //! context-sensitive MHP and once against the context-insensitive one.
 //! CS ⊆ CI (Theorem: context sensitivity only removes pairs), so the CI
 //! run is the universe of findings and membership in the CS run decides
-//! the static tier. Each surviving finding then gets a bounded dynamic
-//! witness search:
+//! the static tier. Each surviving finding then reads its outcome from
+//! one bounded dynamic witness search shared by every surviving label
+//! pair (`fx10_semantics::witness::find_witnesses`; a pair racing on
+//! several cells is searched once):
 //!
 //! * **found** — the finding is `confirmed`, with the schedule attached;
 //! * **refuted** — the raw state space was exhausted without the pair
@@ -26,7 +28,8 @@ use fx10_absint::FeasibilityOracle;
 use fx10_core::analysis::Analysis;
 use fx10_core::race::{accesses, detect_races_with, Race};
 use fx10_robust::{Budget, CancelToken, Fx10Error};
-use fx10_semantics::witness::{find_witness, WitnessSearch};
+use fx10_semantics::parallel::{pair, LabelPair};
+use fx10_semantics::witness::{find_witnesses, WitnessSearch};
 use fx10_syntax::Program;
 
 /// Outcome of the race pass.
@@ -37,9 +40,11 @@ pub struct RacePassOutput {
     pub refuted: usize,
 }
 
-/// Runs the race pass. `witness_states` bounds each per-finding witness
-/// search (0 disables the search entirely: every finding keeps its
-/// static tier with the may-be-spurious tag). `oracle`, when present and
+/// Runs the race pass. Each finding's witness outcome equals that of a
+/// search for its label pair alone capped at `witness_states` raw
+/// states; one shared search serves them all (0 disables the search
+/// entirely: every finding keeps its static tier with the
+/// may-be-spurious tag). `oracle`, when present and
 /// complete, downgrades abstractly-infeasible pairs and annotates
 /// surviving unconfirmed findings with guard facts.
 #[allow(clippy::too_many_arguments)]
@@ -58,41 +63,63 @@ pub fn race_pass(
     let ci_races = detect_races_with(&acc, |x, y| ci.may_happen_in_parallel(x, y));
     let oracle = oracle.filter(|o| o.complete);
 
+    // Static tier and feasibility first; every surviving finding then
+    // reads its outcome from one witness search over its label pair.
+    let findings: Vec<Result<Diagnostic, (&Race, Confidence)>> = ci_races
+        .iter()
+        .map(|race| {
+            let key = (race.first.label, race.second.label, race.first.index);
+            let tier = if cs_races
+                .iter()
+                .any(|r| (r.first.label, r.second.label, r.first.index) == key)
+            {
+                Confidence::CsStatic
+            } else {
+                Confidence::CiOnly
+            };
+            match oracle {
+                Some(o) if !o.pair_feasible(race.first.label, race.second.label) => {
+                    Ok(infeasible(p, race, o))
+                }
+                _ => Err((race, tier)),
+            }
+        })
+        .collect();
+    let label_pair = |race: &Race| pair(race.first.label, race.second.label);
+    let mut pairs: Vec<LabelPair> = findings
+        .iter()
+        .filter_map(|f| f.as_ref().err().map(|&(race, _)| label_pair(race)))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let searches = if witness_states == 0 {
+        Vec::new()
+    } else {
+        find_witnesses(p, input, &pairs, witness_states, budget, cancel)?
+    };
+
     let mut diagnostics = Vec::new();
     let mut refuted = 0usize;
-    for race in &ci_races {
-        let key = (race.first.label, race.second.label, race.first.index);
-        let tier = if cs_races
-            .iter()
-            .any(|r| (r.first.label, r.second.label, r.first.index) == key)
-        {
-            Confidence::CsStatic
-        } else {
-            Confidence::CiOnly
-        };
-        if let Some(o) = oracle {
-            if !o.pair_feasible(race.first.label, race.second.label) {
-                diagnostics.push(infeasible(p, race, o));
+    for finding in findings {
+        let (race, tier) = match finding {
+            Ok(note) => {
+                diagnostics.push(note);
                 continue;
             }
-        }
-        let (confidence, may_be_spurious, witness) = if witness_states == 0 {
-            (tier, true, None)
-        } else {
-            match find_witness(
-                p,
-                input,
-                (race.first.label, race.second.label),
-                witness_states,
-                budget,
-                cancel,
-            )? {
-                WitnessSearch::Found(w) => (Confidence::Confirmed, false, Some(w.schedule)),
-                WitnessSearch::Refuted { .. } => {
-                    refuted += 1;
-                    continue;
-                }
-                WitnessSearch::Exhausted { .. } => (tier, true, None),
+            Err(pending) => pending,
+        };
+        let search = pairs
+            .binary_search(&label_pair(race))
+            .ok()
+            .and_then(|i| searches.get(i));
+        let (confidence, may_be_spurious, witness) = match search {
+            None | Some(WitnessSearch::Exhausted { .. }) => (tier, true, None),
+            Some(WitnessSearch::Found(w)) => {
+                (Confidence::Confirmed, false, Some(w.schedule.clone()))
+            }
+            Some(WitnessSearch::Refuted { .. }) => {
+                refuted += 1;
+                continue;
             }
         };
         // An unconfirmed finding keeps a note on why the value analysis

@@ -445,21 +445,21 @@ mod tests {
     #[test]
     fn replay_of_a_racy_schedule_detects_the_pair() {
         use fx10_robust::{Budget, CancelToken};
-        use fx10_semantics::witness::{find_witness, WitnessSearch};
+        use fx10_semantics::witness::{find_witnesses, WitnessSearch};
         let p = Program::parse("def main() { async { W1: a[0] = 1; } W2: a[0] = 2; }").unwrap();
         let w1 = p.labels().lookup("W1").unwrap();
         let w2 = p.labels().lookup("W2").unwrap();
-        let found = find_witness(
+        let found = find_witnesses(
             &p,
             &[],
-            (w1, w2),
+            &[(w1, w2)],
             10_000,
             Budget::unlimited(),
             &CancelToken::new(),
         )
         .unwrap();
-        let w = match found {
-            WitnessSearch::Found(w) => w,
+        let w = match found.into_iter().next() {
+            Some(WitnessSearch::Found(w)) => w,
             other => panic!("expected witness, got {other:?}"),
         };
         let out = replay_detect(&p, &[], &w.schedule, 100_000).unwrap();

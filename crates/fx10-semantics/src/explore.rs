@@ -65,7 +65,7 @@ use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Exploration limits and state-representation knobs.
@@ -505,6 +505,10 @@ struct Engine<'p> {
     heartbeats: Vec<AtomicU64>,
     /// Set once a worker's thread has returned (panicked or not).
     exited: Vec<AtomicBool>,
+    /// Workers returned so far; the last one to return signals
+    /// `crew_done`, which wakes the watchdog at once.
+    exits: Mutex<usize>,
+    crew_done: Condvar,
     /// Workers currently parked for a checkpoint write.
     parked: AtomicUsize,
     /// First stall the watchdog observed: (worker, frozen-for ms).
@@ -772,9 +776,21 @@ impl Engine<'_> {
         )
     }
 
-    /// The watchdog thread: samples every live worker's heartbeat; a
-    /// heartbeat frozen for `stall_after` on a worker that has not
-    /// exited is a stall — record it, cancel the crew, return.
+    /// Marks worker `id` as returned; the last one wakes the watchdog.
+    fn exit(&self, id: usize) {
+        self.exited[id].store(true, Ordering::SeqCst);
+        let mut exits = lock_shard(&self.exits);
+        *exits += 1;
+        if *exits == self.exited.len() {
+            self.crew_done.notify_all();
+        }
+    }
+
+    /// The watchdog thread: samples every live worker's heartbeat every
+    /// `spec.poll`; a heartbeat frozen for `stall_after` on a worker
+    /// that has not exited is a stall — record it, cancel the crew,
+    /// return. It returns as soon as the last worker exits, so the
+    /// crew's join never waits out a poll interval.
     fn watchdog(&self, spec: WatchdogSpec) {
         let n = self.heartbeats.len();
         let mut last: Vec<u64> = (0..n)
@@ -782,13 +798,19 @@ impl Engine<'_> {
             .collect();
         let mut fresh_at: Vec<Instant> = vec![Instant::now(); n];
         loop {
-            std::thread::sleep(spec.poll);
-            let mut all_exited = true;
+            let exits = self
+                .crew_done
+                .wait_timeout_while(lock_shard(&self.exits), spec.poll, |e| *e < n)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+            if *exits == n {
+                return;
+            }
+            drop(exits);
             for i in 0..n {
                 if self.exited[i].load(Ordering::SeqCst) {
                     continue;
                 }
-                all_exited = false;
                 let now = self.heartbeats[i].load(Ordering::Relaxed);
                 if now != last[i] {
                     last[i] = now;
@@ -802,7 +824,7 @@ impl Engine<'_> {
                     }
                 }
             }
-            if all_exited || self.meter.is_stopped() {
+            if self.meter.is_stopped() {
                 return;
             }
         }
@@ -903,6 +925,8 @@ pub fn explore_parallel_durable(
         fingerprint,
         heartbeats: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         exited: (0..threads).map(|_| AtomicBool::new(false)).collect(),
+        exits: Mutex::new(0),
+        crew_done: Condvar::new(),
         parked: AtomicUsize::new(0),
         stalled: Mutex::new(None),
         ckpt: durability
@@ -986,7 +1010,7 @@ pub fn explore_parallel_durable(
                         });
                         engine.meter.request_stop();
                     }
-                    engine.exited[worker_id].store(true, Ordering::SeqCst);
+                    engine.exit(worker_id);
                 });
             }
             if let Some(spec) = durability.watchdog {

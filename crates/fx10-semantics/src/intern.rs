@@ -29,10 +29,10 @@
 //! ## Concurrency
 //!
 //! All interners are safe to share across worker threads: id→value
-//! lookups are lock-free reads of append-only paged storage, and
-//! value→id interning takes one sharded lock. Ids are published to other
-//! workers only through locks or join points, which order the paged
-//! writes before any cross-thread read.
+//! lookups are lock-free reads of append-only storage in geometrically
+//! growing segments, and value→id interning takes one sharded lock. Ids
+//! are published to other workers only through locks or join points,
+//! which order the slot writes before any cross-thread read.
 
 use crate::parallel::{pair, LabelPair};
 use crate::tree::Tree;
@@ -73,78 +73,77 @@ pub fn state_parts(key: u64) -> (ArrayId, TreeId) {
     (ArrayId((key >> 32) as u32), TreeId(key as u32))
 }
 
-const PAGE_BITS: usize = 13;
-const PAGE_SIZE: usize = 1 << PAGE_BITS;
-const PAGE_MASK: u32 = (PAGE_SIZE - 1) as u32;
-const MAX_PAGES: usize = 1 << 15;
-/// Hard capacity per interner (2^28 ids ≈ 268M); state budgets keep real
-/// explorations far below this.
-const MAX_IDS: u32 = (MAX_PAGES << PAGE_BITS) as u32;
+/// Segment `b` of the id storage holds `2^(FIRST_SEG_BITS + b)` slots,
+/// so a fresh interner allocates nothing up front and a small one
+/// touches only a few hundred slots.
+const FIRST_SEG_BITS: u32 = 8;
+const SEGMENTS: usize = 21;
+/// Hard capacity per interner (2^28 ids ≈ 268M, inside the 2^29 − 256
+/// slots of the 21 segments); state budgets keep real explorations far
+/// below this.
+const MAX_IDS: u32 = 1 << 28;
 const SHARDS: usize = 32;
 
-/// Append-only paged storage of packed `u64` values with lock-free
-/// reads. Slots are written exactly once, before their index escapes the
-/// interning lock.
-struct U64Pages {
-    pages: Vec<OnceLock<Box<[AtomicU64]>>>,
+/// The (segment, offset) of slot `idx`: segment `b` starts at
+/// `2^8 · (2^b − 1)`, so `idx + 2^8` has its top bit at `8 + b`.
+#[inline]
+fn locate(idx: u32) -> (usize, usize) {
+    let j = idx as u64 + (1 << FIRST_SEG_BITS);
+    let top = 63 - j.leading_zeros();
+    ((top - FIRST_SEG_BITS) as usize, (j - (1 << top)) as usize)
 }
 
-impl U64Pages {
+/// Append-only storage in geometrically growing segments with lock-free
+/// reads. Slots are written exactly once, before their index escapes the
+/// interning lock; a segment is allocated on first touch.
+struct Segments<S> {
+    segs: [OnceLock<Box<[S]>>; SEGMENTS],
+}
+
+impl<S: Default> Segments<S> {
     fn new() -> Self {
-        U64Pages {
-            pages: (0..MAX_PAGES).map(|_| OnceLock::new()).collect(),
+        Segments {
+            segs: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    fn page(&self, idx: u32) -> &[AtomicU64] {
-        self.pages[(idx >> PAGE_BITS) as usize].get_or_init(|| {
-            (0..PAGE_SIZE)
-                .map(|_| AtomicU64::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        })
+    fn slot(&self, idx: u32) -> &S {
+        let (b, off) = locate(idx);
+        let seg = self.segs[b].get_or_init(|| {
+            (0..1usize << (FIRST_SEG_BITS as usize + b))
+                .map(|_| S::default())
+                .collect()
+        });
+        &seg[off]
     }
+}
 
+/// Packed `u64` values (tree nodes, statement tail links).
+type U64Pages = Segments<AtomicU64>;
+
+impl U64Pages {
     fn set(&self, idx: u32, v: u64) {
-        self.page(idx)[(idx & PAGE_MASK) as usize].store(v, Ordering::Release);
+        self.slot(idx).store(v, Ordering::Release);
     }
 
     fn get(&self, idx: u32) -> u64 {
-        self.page(idx)[(idx & PAGE_MASK) as usize].load(Ordering::Acquire)
+        self.slot(idx).load(Ordering::Acquire)
     }
 }
 
-/// Append-only paged storage of owned values (statements, cell vectors)
-/// with lock-free reads.
-struct SlotPages<T> {
-    pages: Vec<OnceLock<Box<[OnceLock<T>]>>>,
-}
+/// Owned values (statements, cell vectors).
+type SlotPages<T> = Segments<OnceLock<T>>;
 
 impl<T> SlotPages<T> {
-    fn new() -> Self {
-        SlotPages {
-            pages: (0..MAX_PAGES).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn page(&self, idx: u32) -> &[OnceLock<T>] {
-        self.pages[(idx >> PAGE_BITS) as usize].get_or_init(|| {
-            (0..PAGE_SIZE)
-                .map(|_| OnceLock::new())
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        })
-    }
-
     fn set(&self, idx: u32, v: T) {
         // Slots are written once, under the owning shard lock, before the
         // id escapes; a second set can only be the same value racing and
         // is ignored.
-        let _ = self.page(idx)[(idx & PAGE_MASK) as usize].set(v);
+        let _ = self.slot(idx).set(v);
     }
 
     fn get(&self, idx: u32) -> &T {
-        self.page(idx)[(idx & PAGE_MASK) as usize]
+        self.slot(idx)
             .get()
             .expect("interned id read before its slot was published")
     }
@@ -833,6 +832,42 @@ mod tests {
     fn state_key_roundtrips() {
         let k = state_key(ArrayId(7), TreeId(42));
         assert_eq!(state_parts(k), (ArrayId(7), TreeId(42)));
+    }
+
+    #[test]
+    fn segment_boundaries_locate_and_round_trip() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(255), (0, 255));
+        assert_eq!(locate(256), (1, 0));
+        assert_eq!(locate(767), (1, 511));
+        assert_eq!(locate(768), (2, 0));
+        // The last slot of segment 10 (2^18 slots) and the first of 11.
+        let last_of_10 = (1u32 << 8) * ((1 << 11) - 1) - 1;
+        assert_eq!(locate(last_of_10), (10, (1 << 18) - 1));
+        assert_eq!(locate(last_of_10 + 1), (11, 0));
+        // Every id below the capacity has a segment.
+        assert!(locate(MAX_IDS - 1).0 < SEGMENTS);
+
+        let words = U64Pages::new();
+        let vals: SlotPages<Vec<i64>> = SlotPages::new();
+        let ids = [0, 254, 255, 256, 767, 768, last_of_10 - 1, last_of_10];
+        for &id in &ids {
+            words.set(id, u64::from(id) * 3 + 1);
+            vals.set(id, vec![i64::from(id)]);
+        }
+        for &id in &ids {
+            assert_eq!(words.get(id), u64::from(id) * 3 + 1, "id {id}");
+            assert_eq!(vals.get(id), &vec![i64::from(id)], "id {id}");
+        }
+        assert_eq!(words.get(257), 0, "untouched slots stay unset");
+    }
+
+    #[test]
+    #[should_panic(expected = "tree interner capacity exceeded")]
+    fn interning_past_max_ids_panics() {
+        let it = Interner::new(false);
+        it.tree_next.store(MAX_IDS, Ordering::Relaxed);
+        it.seq(DONE, DONE);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   exploration computing the *dynamic* may-happen-in-parallel relation
 //!   `MHP(p) = ∪ { parallel(T) | (p,A₀,⟨s₀⟩) →* (p,A,T) }` and checking
 //!   the deadlock-freedom theorem (Theorem 1) on every visited state,
-//! - [`witness`]: a bounded search for a schedule exhibiting a label pair
-//!   ([`find_witness`]) and its replay ([`witness_exhibits`]).
+//! - [`witness`]: one bounded search for schedules exhibiting a set of
+//!   label pairs ([`find_witnesses`]) and their replay
+//!   ([`witness_exhibits`]).
 
 #![warn(missing_docs)]
 pub mod explore;
@@ -52,4 +53,4 @@ pub use shard::{
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;
 pub use tree::Tree;
-pub use witness::{find_witness, witness_exhibits, Witness, WitnessSearch};
+pub use witness::{find_witnesses, witness_exhibits, Witness, WitnessSearch};

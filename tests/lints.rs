@@ -15,7 +15,7 @@ use fx10::analysis::analyze_ci;
 use fx10::analysis::race::{accesses, detect_races_with};
 use fx10::lints::{lint, Confidence, LintOptions};
 use fx10::robust::{Budget, CancelToken};
-use fx10::semantics::witness::{find_witness, witness_exhibits, WitnessSearch};
+use fx10::semantics::witness::{find_witnesses, witness_exhibits, WitnessSearch};
 use fx10::semantics::{explore, ExploreConfig};
 use fx10::suite::{random_fx10_loop_free, RandomConfig};
 use proptest::prelude::*;
@@ -44,11 +44,12 @@ proptest! {
         let p = random_fx10_loop_free(cfg(seed, methods, stmts, depth));
         let ci = analyze_ci(&p);
         let races = detect_races_with(&accesses(&p), |x, y| ci.may_happen_in_parallel(x, y));
-        for race in &races {
-            let target = (race.first.label, race.second.label);
-            let search =
-                find_witness(&p, &[], target, 60_000, Budget::unlimited(), &CancelToken::new())
-                    .expect("nobody cancels");
+        let targets: Vec<_> = races.iter().map(|r| (r.first.label, r.second.label)).collect();
+        let searches =
+            find_witnesses(&p, &[], &targets, 60_000, Budget::unlimited(), &CancelToken::new())
+                .expect("nobody cancels");
+        prop_assert_eq!(searches.len(), targets.len());
+        for (&target, search) in targets.iter().zip(searches) {
             if let WitnessSearch::Found(w) = search {
                 prop_assert!(
                     witness_exhibits(&p, &[], &w.schedule, target),
