@@ -6,8 +6,8 @@ use crate::gen::{self, GenOutput, Mode};
 use crate::index::StmtIndex;
 use crate::sets::{LabelSet, PairSet};
 use crate::slabels::{compute_slabels_budgeted, SlabelsResult};
+use crate::solver::SetSolution;
 pub use crate::solver::SolverKind;
-use crate::solver::{PairSolution, SetSolution};
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, FaultPlan, Fx10Error, Stop};
 use fx10_syntax::{FuncId, Label, Program};
 
@@ -41,7 +41,8 @@ pub struct Analysis {
     idx: StmtIndex,
     slabels: SlabelsResult,
     l1: SetSolution,
-    l2: PairSolution,
+    /// `M_i` per method, the only level-2 values a caller reads.
+    m_methods: Vec<PairSet>,
     gen: GenOutput,
     main: FuncId,
     /// Statistics gathered while solving.
@@ -138,7 +139,9 @@ pub fn analyze_with_budget(
         idx,
         slabels,
         l1,
-        l2,
+        m_methods: (0..gen.layout.u)
+            .map(|f| l2.get(gen.layout.mi(FuncId(f as u32))))
+            .collect(),
         gen,
         stats,
         exhausted,
@@ -247,7 +250,7 @@ impl Analysis {
 
     /// `M_i` of a method.
     pub fn mhp_of(&self, f: FuncId) -> &PairSet {
-        self.l2.get(self.gen.layout.mi(f))
+        &self.m_methods[f.index()]
     }
 
     /// `O_i` of a method: labels that may still be executing when a call

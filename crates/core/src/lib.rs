@@ -15,7 +15,8 @@
 //! Also provided:
 //! - the abstract domains `LabelSet` / `LabelPairSet` as dense bitsets
 //!   ([`sets`]), matching the representation assumed by the paper's
-//!   `O(n⁶)` complexity analysis,
+//!   `O(n⁶)` complexity analysis (the level-2 solver stores its pair
+//!   sets one-sided in shared sparse rows and hands out dense ones),
 //! - the nine helper functions of Figure 3 (`Slabels` in [`slabels`];
 //!   `symcross`/`Lcross`/`Scross` as [`sets::PairSet`] bulk operations;
 //!   `FSlabels`/`FTlabels`/`parallel` live with the semantics),

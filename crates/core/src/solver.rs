@@ -25,7 +25,7 @@
 //! solution tagged with its [`Exhaustion`] provenance; cancellation
 //! returns [`Fx10Error::Cancelled`].
 
-use crate::sets::{LabelSet, PairSet, SharedLabelSet};
+use crate::sets::{LabelSet, PairRows, PairSet, SharedLabelSet};
 use fx10_robust::{BudgetMeter, Exhaustion, Fx10Error, Stop};
 use fx10_syntax::Label;
 
@@ -174,10 +174,14 @@ pub struct PairSystem {
 }
 
 /// The least solution of a [`PairSystem`] plus solver statistics.
+///
+/// Values stay in the solver's private shared sparse layout
+/// (`sets::PairRows`); [`PairSolution::get`] turns one into a dense
+/// [`PairSet`] on demand.
 #[derive(Debug, Clone)]
 pub struct PairSolution {
-    /// Value per variable.
-    pub values: Vec<PairSet>,
+    universe: usize,
+    values: Vec<PairRows>,
     /// Round-robin passes (naive) or 0 (worklist).
     pub passes: usize,
     /// Individual constraint evaluations.
@@ -188,19 +192,19 @@ pub struct PairSolution {
 }
 
 impl PairSolution {
-    /// Value of a variable.
-    #[inline]
-    pub fn get(&self, v: PairVar) -> &PairSet {
-        &self.values[v.index()]
+    /// Value of a variable, as a fresh dense symmetric [`PairSet`].
+    pub fn get(&self, v: PairVar) -> PairSet {
+        self.values[v.index()].to_pair_set(self.universe)
     }
 
-    /// Total heap bytes of all values.
+    /// Total heap bytes of all values: every variable's row directory,
+    /// plus each distinct row once, however many variables share it.
     pub fn bytes(&self) -> usize {
-        self.values.iter().map(|s| s.bytes()).sum()
+        PairRows::shared_bytes(&self.values)
     }
 }
 
-fn eval_pair_constraint(c: &PairConstraint, values: &mut [PairSet]) -> bool {
+fn eval_pair_constraint(c: &PairConstraint, values: &mut [PairRows]) -> bool {
     let mut changed = false;
     for t in &c.terms {
         match t {
@@ -288,7 +292,7 @@ impl SolverKind {
         sys: &PairSystem,
         meter: &mut BudgetMeter,
     ) -> Result<PairSolution, Fx10Error> {
-        let mut values = vec![PairSet::empty(sys.universe); sys.n_vars];
+        let mut values = vec![PairRows::default(); sys.n_vars];
         let run = match self {
             SolverKind::Naive => {
                 iterate_naive(&sys.constraints, &mut values, eval_pair_constraint, meter)?
@@ -314,6 +318,7 @@ impl SolverKind {
             }
         };
         Ok(PairSolution {
+            universe: sys.universe,
             values,
             passes: run.passes,
             evals: run.evals,
@@ -436,6 +441,7 @@ pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
     SolverKind::Naive
         .solve_pair(sys, &mut BudgetMeter::unlimited())
         .unwrap_or_else(|_| PairSolution {
+            universe: sys.universe,
             values: Vec::new(),
             passes: 0,
             evals: 0,
@@ -541,10 +547,12 @@ mod tests {
         let b = SolverKind::Worklist
             .solve_pair(&sys, &mut BudgetMeter::unlimited())
             .unwrap();
-        assert_eq!(a.values, b.values);
+        for v in [PairVar(0), PairVar(1)] {
+            assert_eq!(a.get(v), b.get(v));
+        }
         assert_eq!(a.get(PairVar(1)).len(), 3); // (1,3), (2,3), (5,6)
         assert!(a.get(PairVar(1)).contains(Label(5), Label(6)));
-        assert!(a.get(PairVar(0)).is_subset(a.get(PairVar(1))));
+        assert!(a.get(PairVar(0)).is_subset(&a.get(PairVar(1))));
     }
 
     #[test]

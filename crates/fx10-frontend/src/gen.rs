@@ -566,9 +566,7 @@ pub fn analyze_condensed_budgeted(
         .or(meter.exhaustion());
     Ok(CondensedAnalysis {
         mode,
-        m_methods: (0..u)
-            .map(|i| l2.get(PairVar((n + i) as u32)).clone())
-            .collect(),
+        m_methods: (0..u).map(|i| l2.get(PairVar((n + i) as u32))).collect(),
         o_methods: (0..u)
             .map(|i| l1.get(SetVar((2 * n + i) as u32)).clone())
             .collect(),

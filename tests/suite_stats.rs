@@ -71,6 +71,79 @@ fn figure_8_pair_magnitudes_track_paper() {
     }
 }
 
+/// (program, ci, naive S/1/2 passes, naive evals, worklist evals, pairs).
+type GoldenRow = (&'static str, bool, [usize; 3], usize, usize, [usize; 4]);
+
+/// Figures 8/9's machine-independent columns, pinned per suite program
+/// and mode (`true` = CI): naive S/1/2 passes, naive constraint
+/// evaluations, worklist constraint evaluations, and the pair report's
+/// total/self/same/diff. The evaluation counts follow every change
+/// report of every phase, so a solver that stores its sets differently
+/// must still report exactly the same changes.
+#[rustfmt::skip]
+const FIGURE_8_9_GOLDEN: &[GoldenRow] = &[
+    ("stream", false, [2, 3, 2], 1200, 487, [5, 4, 1, 0]),
+    ("stream", true, [2, 3, 2], 1215, 492, [5, 4, 1, 0]),
+    ("fragstream", false, [2, 3, 2], 1200, 487, [5, 4, 1, 0]),
+    ("fragstream", true, [2, 3, 2], 1215, 492, [5, 4, 1, 0]),
+    ("sor", false, [2, 3, 2], 1538, 636, [13, 6, 3, 4]),
+    ("sor", true, [2, 3, 2], 1601, 683, [13, 6, 3, 4]),
+    ("series", false, [2, 2, 2], 924, 462, [1, 1, 0, 0]),
+    ("series", true, [2, 2, 2], 958, 479, [1, 1, 0, 0]),
+    ("sparsemm", false, [2, 3, 2], 1914, 774, [3, 2, 1, 0]),
+    ("sparsemm", true, [2, 3, 2], 1989, 799, [3, 2, 1, 0]),
+    ("crypt", false, [2, 2, 2], 1352, 676, [2, 2, 0, 0]),
+    ("crypt", true, [2, 2, 2], 1402, 701, [2, 2, 0, 0]),
+    ("moldyn", false, [2, 3, 2], 3052, 1244, [59, 14, 36, 9]),
+    ("moldyn", true, [2, 3, 2], 3127, 1284, [59, 14, 36, 9]),
+    ("linpack", false, [2, 3, 2], 2785, 1134, [10, 6, 1, 3]),
+    ("linpack", true, [2, 3, 2], 2911, 1214, [10, 6, 1, 3]),
+    ("raytracer", false, [2, 3, 2], 5355, 2173, [47, 13, 24, 10]),
+    ("raytracer", true, [2, 3, 2], 5751, 2335, [47, 13, 24, 10]),
+    ("montecarlo", false, [2, 3, 2], 3801, 1541, [4, 3, 1, 0]),
+    ("montecarlo", true, [2, 3, 2], 4041, 1621, [4, 3, 1, 0]),
+    ("mg", false, [2, 9, 2], 27942, 6623, [359, 37, 18, 304]),
+    ("mg", true, [2, 9, 2], 30174, 6871, [455, 37, 18, 400]),
+    ("mapreduce", false, [2, 2, 2], 400, 200, [1, 1, 0, 0]),
+    ("mapreduce", true, [2, 2, 2], 410, 205, [1, 1, 0, 0]),
+    ("plasma", false, [2, 2, 2], 25260, 12630, [240, 120, 120, 0]),
+    ("plasma", true, [2, 5, 2], 46475, 20378, [8960, 120, 760, 8080]),
+];
+
+#[test]
+fn figure_8_9_passes_evals_and_pairs_are_pinned() {
+    assert_eq!(FIGURE_8_9_GOLDEN.len(), 2 * all_benchmarks().len());
+    for &(name, ci, passes, naive_evals, worklist_evals, pairs) in FIGURE_8_9_GOLDEN {
+        let bm = benchmark(name).unwrap();
+        let mode = if ci {
+            Mode::ContextInsensitive { keep_scross: true }
+        } else {
+            Mode::ContextSensitive
+        };
+        let naive = analyze_condensed(&bm.program, mode, SolverKind::Naive);
+        let worklist = analyze_condensed(&bm.program, mode, SolverKind::Worklist);
+        let s = &naive.stats;
+        let rep = async_pairs_condensed(&naive);
+        let got = (
+            [s.slabels_passes, s.level1_passes, s.level2_passes],
+            s.evals,
+            worklist.stats.evals,
+            [
+                rep.total(),
+                rep.self_pairs,
+                rep.same_method,
+                rep.diff_method,
+            ],
+        );
+        assert_eq!(
+            got,
+            (passes, naive_evals, worklist_evals, pairs),
+            "{name} (ci: {ci})"
+        );
+        assert_eq!(naive.mhp(), worklist.mhp(), "{name} (ci: {ci})");
+    }
+}
+
 #[test]
 fn figure_9_small_benchmarks_ci_equals_cs() {
     // §7: "For the 11 smallest benchmarks, the runs used roughly the same
