@@ -768,128 +768,6 @@ pub fn example_2_2_report() -> String {
     out
 }
 
-/// Locates the `fx10` CLI binary the sharded explorer spawns as its
-/// worker processes: `$FX10_BIN` if set, else a sibling of the running
-/// `figures` binary (both live in the same cargo target directory).
-fn fx10_binary() -> Result<std::path::PathBuf, String> {
-    if let Ok(p) = std::env::var("FX10_BIN") {
-        return Ok(p.into());
-    }
-    let me = std::env::current_exe().map_err(|e| e.to_string())?;
-    let sibling = me.with_file_name("fx10");
-    if sibling.exists() {
-        Ok(sibling)
-    } else {
-        Err(format!(
-            "{} not found — build it with `cargo build --release -p fx10-cli` \
-             or point FX10_BIN at it",
-            sibling.display()
-        ))
-    }
-}
-
-/// The `BENCH_shard.json` report: multi-process sharded exploration vs
-/// the in-process engines on the two chaos fixtures. Each sharded row
-/// records states/sec plus the supervisor's restart and migration
-/// counts; a final chaos row SIGKILLs one shard at its first checkpoint
-/// to price a restart-and-replay cycle.
-pub fn bench_shard_json() -> Result<String, String> {
-    use fx10_robust::{backoff::RestartPolicy, Budget, CancelToken};
-    use fx10_semantics::{explore_budgeted, explore_sharded, ExploreConfig, ShardedOptions};
-
-    let exe = fx10_binary()?;
-    let config = ExploreConfig {
-        max_states: 2_000_000,
-        ..ExploreConfig::default()
-    };
-    let mut out = String::new();
-    out.push_str("{\n  \"fixtures\": [\n");
-    // CI's smoke job trims the sweep with FX10_BENCH_SHARD_FIXTURES
-    // (comma-separated); the full report covers both chaos fixtures.
-    let selected = std::env::var("FX10_BENCH_SHARD_FIXTURES")
-        .unwrap_or_else(|_| "chaos_wide,chaos_grid".to_string());
-    let fixture_names: Vec<String> = selected.split(',').map(|s| s.trim().to_string()).collect();
-    for (i, name) in fixture_names.iter().enumerate() {
-        let path = format!(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs/{}.fx10"),
-            name
-        );
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let p = fx10_syntax::Program::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-
-        let t = std::time::Instant::now();
-        let seq = explore_budgeted(&p, &[], config, Budget::unlimited(), &CancelToken::new())
-            .map_err(|e| e.to_string())?;
-        let seq_ms = t.elapsed().as_secs_f64() * 1e3;
-        let _ = writeln!(out, "    {{\n      \"name\": \"{name}\",");
-        let _ = writeln!(out, "      \"rows\": [");
-        let _ = writeln!(
-            out,
-            "        {{\"engine\": \"sequential\", \"shards\": 0, \"visited\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"restarts\": 0, \"migrations\": 0}},",
-            seq.visited,
-            seq_ms,
-            seq.visited as f64 / (seq_ms / 1e3)
-        );
-
-        let runs: &[(usize, Option<(u32, u32)>)] =
-            &[(1, None), (2, None), (4, None), (4, Some((1, 1)))];
-        for (j, &(shards, chaos_kill)) in runs.iter().enumerate() {
-            let ckpt_dir = std::env::temp_dir().join(format!(
-                "fx10-bench-shard-{name}-{shards}-{}-{}",
-                chaos_kill.is_some(),
-                std::process::id()
-            ));
-            let opts = ShardedOptions {
-                shards,
-                worker_exe: exe.clone(),
-                ckpt_dir: ckpt_dir.clone(),
-                ckpt_every: 4096,
-                policy: RestartPolicy::default(),
-                chaos_kill,
-                ..ShardedOptions::default()
-            };
-            let t = std::time::Instant::now();
-            let (e, prov) = explore_sharded(&p, &[], &config, &opts, &CancelToken::new())
-                .map_err(|e| e.to_string())?;
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            let _ = std::fs::remove_dir_all(&ckpt_dir);
-            if e.visited != seq.visited {
-                return Err(format!(
-                    "differential failure on {name} at {shards} shard(s): \
-                     {} visited vs sequential {}",
-                    e.visited, seq.visited
-                ));
-            }
-            let engine = if chaos_kill.is_some() {
-                "sharded+kill"
-            } else {
-                "sharded"
-            };
-            let comma = if j + 1 == runs.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "        {{\"engine\": \"{engine}\", \"shards\": {shards}, \"visited\": {}, \
-                 \"millis\": {ms:.1}, \"states_per_sec\": {:.0}, \"restarts\": {}, \
-                 \"migrations\": {}}}{comma}",
-                e.visited,
-                e.visited as f64 / (ms / 1e3),
-                prov.restarts,
-                prov.migrations
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let comma = if i + 1 == fixture_names.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ]\n}\n");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -389,10 +389,6 @@ impl SoundnessReport {
 /// final answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LadderRung {
-    /// The multi-process shard fleet finished: the answer is the *exact*
-    /// dynamic MHP relation, computed across supervised worker
-    /// processes (possibly surviving restarts and migrations).
-    ShardedExplore,
     /// The multi-threaded durable explorer finished: the answer is the
     /// *exact* dynamic MHP relation.
     ParallelExplore,
@@ -412,7 +408,6 @@ pub enum LadderRung {
 impl std::fmt::Display for LadderRung {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LadderRung::ShardedExplore => write!(f, "sharded-explore"),
             LadderRung::ParallelExplore => write!(f, "parallel-explore"),
             LadderRung::SequentialExplore => write!(f, "sequential-explore"),
             LadderRung::ContextSensitive => write!(f, "context-sensitive"),
@@ -427,9 +422,7 @@ impl LadderRung {
     pub fn is_dynamic(&self) -> bool {
         matches!(
             self,
-            LadderRung::ShardedExplore
-                | LadderRung::ParallelExplore
-                | LadderRung::SequentialExplore
+            LadderRung::ParallelExplore | LadderRung::SequentialExplore
         )
     }
 }
@@ -440,7 +433,7 @@ impl LadderRung {
 pub struct SupervisedAnswer {
     /// The rung that produced [`pairs`](SupervisedAnswer::pairs).
     pub rung: LadderRung,
-    /// Human-readable log of every descent, retry and backoff the
+    /// Human-readable log of every descent and retry the
     /// supervisor performed, in order.
     pub trace: Vec<String>,
     /// The MHP pairs of the answering rung, each normalized to
@@ -455,56 +448,6 @@ pub struct SupervisedAnswer {
     /// final rung may answer while exhausted; every other rung descends
     /// instead.
     pub exhausted: Option<Exhaustion>,
-    /// Worker-process restarts the sharded rung performed (0 when that
-    /// rung did not run).
-    pub shard_restarts: u32,
-    /// Shard migrations the sharded rung performed (0 when that rung
-    /// did not run).
-    pub shard_migrations: u32,
-}
-
-/// What one sharded-exploration attempt produced — the multi-process
-/// analogue of [`fx10_semantics::Exploration`], plus the supervision
-/// provenance (`events`, restart and migration counts) the answer must
-/// carry.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// The dynamic MHP pairs, `(min, max)`-normalized.
-    pub pairs: std::collections::BTreeSet<(Label, Label)>,
-    /// Theorem 1's verdict over every visited state.
-    pub deadlock_free: bool,
-    /// Did the fleet stop at a budget rather than quiescence?
-    pub truncated: bool,
-    /// What was exhausted, when truncated.
-    pub exhausted: Option<Exhaustion>,
-    /// Supervision events (restarts, migrations, quiescence), in order.
-    pub events: Vec<String>,
-    /// Worker-process restarts performed.
-    pub restarts: u32,
-    /// Shard migrations performed.
-    pub migrations: u32,
-}
-
-/// The boxed backend signature of a [`ShardRunner`]:
-/// `(program, input, cancel) → outcome`.
-pub type ShardBackend = std::sync::Arc<
-    dyn Fn(&Program, &[i64], &CancelToken) -> Result<ShardOutcome, Fx10Error> + Send + Sync,
->;
-
-/// A pluggable multi-process exploration backend for the ladder's top
-/// rung. The supervisor crate cannot spawn `fx10 shard-worker` itself
-/// (it does not know the binary), so the CLI injects a closure that
-/// does; library users without a worker binary simply leave it unset.
-#[derive(Clone)]
-pub struct ShardRunner(
-    /// The backend closure.
-    pub ShardBackend,
-);
-
-impl std::fmt::Debug for ShardRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ShardRunner(..)")
-    }
 }
 
 /// How many times the ladder retries the parallel rung after its first
@@ -550,10 +493,6 @@ pub struct Supervisor {
     /// Durable-checkpoint spec for the parallel rung; also the file
     /// retries resume from. `None` disables both.
     pub checkpoint: Option<fx10_semantics::CheckpointSpec>,
-    /// Optional multi-process backend. When set, the ladder gains a top
-    /// rung — **sharded-explore** — tried before the in-process
-    /// parallel explorer.
-    pub shard_runner: Option<ShardRunner>,
 }
 
 impl Default for Supervisor {
@@ -566,7 +505,6 @@ impl Default for Supervisor {
             explore_config: fx10_semantics::ExploreConfig::default(),
             solver: SolverKind::Worklist,
             checkpoint: None,
-            shard_runner: None,
         }
     }
 }
@@ -576,15 +514,6 @@ impl Supervisor {
     /// some rung answers. `faults` is handed to every parallel-explore
     /// attempt (the injection harness uses this to force descents); the
     /// lower rungs never see it.
-    ///
-    /// When a [`ShardRunner`] is installed, the ladder starts one rung
-    /// higher: **sharded-explore** → parallel-explore →
-    /// sequential-explore → the static rungs. A truncated sharded
-    /// answer descends straight to the static rungs (same reasoning as
-    /// the parallel rung — a dynamic lower bound cannot be patched by a
-    /// smaller machine); any other sharded failure falls through to the
-    /// in-process parallel explorer. The answer carries the sharded
-    /// rung's restart/migration provenance either way.
     pub fn run(
         &self,
         p: &Program,
@@ -593,67 +522,6 @@ impl Supervisor {
         faults: &FaultPlan,
     ) -> Result<SupervisedAnswer, Fx10Error> {
         let mut trace = Vec::new();
-        let mut shard_restarts = 0u32;
-        let mut shard_migrations = 0u32;
-        if let Some(runner) = &self.shard_runner {
-            cancel.check()?;
-            match (runner.0)(p, input, cancel) {
-                Ok(o) => {
-                    for ev in &o.events {
-                        trace.push(format!("sharded-explore: {ev}"));
-                    }
-                    shard_restarts = o.restarts;
-                    shard_migrations = o.migrations;
-                    if !o.truncated {
-                        trace.push(format!(
-                            "sharded-explore answered ({} restart(s), {} migration(s))",
-                            o.restarts, o.migrations
-                        ));
-                        return Ok(SupervisedAnswer {
-                            rung: LadderRung::ShardedExplore,
-                            trace,
-                            pairs: o.pairs,
-                            deadlock_free: Some(o.deadlock_free),
-                            exhausted: None,
-                            shard_restarts,
-                            shard_migrations,
-                        });
-                    }
-                    let what = o
-                        .exhausted
-                        .map_or_else(|| "truncated".to_string(), |x| x.to_string());
-                    trace.push(format!(
-                        "sharded-explore truncated ({what}); descending to the static rungs"
-                    ));
-                    let mut ans = self.static_rungs(p, cancel, trace)?;
-                    ans.shard_restarts = shard_restarts;
-                    ans.shard_migrations = shard_migrations;
-                    return Ok(ans);
-                }
-                Err(Fx10Error::Cancelled) => return Err(Fx10Error::Cancelled),
-                Err(e) => {
-                    trace.push(format!(
-                        "sharded-explore failed: {e}; descending to parallel-explore"
-                    ));
-                }
-            }
-        }
-        let mut ans = self.run_threaded(p, input, cancel, faults, trace)?;
-        ans.shard_restarts = shard_restarts;
-        ans.shard_migrations = shard_migrations;
-        Ok(ans)
-    }
-
-    /// Rungs 1–4: the single-machine ladder (parallel-explore
-    /// downwards), continuing an existing `trace`.
-    fn run_threaded(
-        &self,
-        p: &Program,
-        input: &[i64],
-        cancel: &CancelToken,
-        faults: &FaultPlan,
-        mut trace: Vec<String>,
-    ) -> Result<SupervisedAnswer, Fx10Error> {
         let mut jobs = self.jobs.max(1);
         let watchdog = fx10_semantics::WatchdogSpec {
             stall_after: self.stall_after,
@@ -705,8 +573,6 @@ impl Supervisor {
                         pairs: e.mhp,
                         deadlock_free: Some(e.deadlock_free),
                         exhausted: None,
-                        shard_restarts: 0,
-                        shard_migrations: 0,
                     });
                 }
                 Ok(e) => {
@@ -750,8 +616,6 @@ impl Supervisor {
                     pairs: e.mhp,
                     deadlock_free: Some(e.deadlock_free),
                     exhausted: None,
-                    shard_restarts: 0,
-                    shard_migrations: 0,
                 });
             }
             Ok(Ok(e)) => {
@@ -784,8 +648,6 @@ impl Supervisor {
                 pairs: normalized_pairs(&cs),
                 deadlock_free: None,
                 exhausted: None,
-                shard_restarts: 0,
-                shard_migrations: 0,
             });
         }
         trace.push(format!(
@@ -806,8 +668,6 @@ impl Supervisor {
             pairs: normalized_pairs(&ci),
             deadlock_free: None,
             exhausted: ci.exhausted,
-            shard_restarts: 0,
-            shard_migrations: 0,
         })
     }
 }

@@ -6,8 +6,7 @@
 //! fx10 run     <file.fx10> [--sched S] [--input v,v,...] [--steps N]
 //!              [--jobs N [--schedule-seed S] [--grain G] | --elide]  real parallel runtime
 //! fx10 explore <file.fx10> [--max-states N] [--jobs N]   exhaustive dynamic MHP
-//!              [--checkpoint F [--checkpoint-every N]] [--resume F]
-//!              [--shards N [--digest-xor]]          multi-process sharded exploration
+//!              [--checkpoint F [--checkpoint-every N]] [--resume F] [--digest-xor]
 //! fx10 mhp     <file.fx10> [--ci]             static MHP pairs
 //! fx10 race    <file.fx10>                    MHP-based race report
 //! fx10 lint    <file.fx10> [--format text|json|sarif] [--deny CODE] [--allow CODE]
@@ -38,29 +37,17 @@
 //! mismatched snapshot is a typed usage error (exit 2). Both explorer
 //! commands run under a heartbeat watchdog that converts a wedged worker
 //! into a typed stall error (exit 4) instead of a hang. `check --ladder`
-//! runs the supervised degradation ladder (sharded explore when `--shards`
-//! is given → parallel explore → sequential explore → CS analysis → CI
-//! analysis) and reports which rung answered.
-//!
-//! **Sharding.** `explore --shards N` partitions the visited set by
-//! state-digest range across `N` worker *processes* (respawned as
-//! `fx10 shard-worker`, an internal mode that speaks length-prefixed
-//! FX10SNAP frames on stdin/stdout and is not meant to be run by hand).
-//! A `ShardSupervisor` owns the fleet: per-shard heartbeats, backoff
-//! restarts of crashed or wedged workers from their last durable
-//! checkpoint, and migration of a dead worker's shards (checkpoint plus
-//! unacked frontier batches) to a survivor. Results are byte-identical
-//! to the single-process explorer at every shard count, faults or not.
-//! `--digest-xor` additionally prints an order-independent digest of the
-//! visited-state set — the currency of the differential oracle.
+//! runs the supervised degradation ladder (parallel explore → sequential
+//! explore → CS analysis → CI analysis) and reports which rung answered.
+//! `explore --digest-xor` additionally prints an order-independent digest
+//! of the visited-state set — the currency of the differential oracle.
 //!
 //! **Chaos hooks.** The env vars `FX10_KILL_AT_CHECKPOINT`,
-//! `FX10_WEDGE_WORKER=k[:after]`, `FX10_STALL_MS`,
-//! `FX10_SHARD_KILL=k[:nth-ckpt]`, `FX10_SHARD_WEDGE=k[:after]` and
-//! `FX10_SHARD_RESTARTS=N` inject deterministic faults for the chaos
-//! harness. They are parsed as strictly as flags and accepted only on
-//! the commands that explore (`explore`, `check`); anywhere else they
-//! are a usage error (exit 2), never a silent no-op.
+//! `FX10_WEDGE_WORKER=k[:after]` and `FX10_STALL_MS` inject
+//! deterministic faults for the chaos harness. They are parsed as
+//! strictly as flags and accepted only on the commands that explore
+//! (`explore`, `check`); anywhere else they are a usage error (exit 2),
+//! never a silent no-op.
 //!
 //! Exit codes:
 //!
@@ -104,7 +91,6 @@ fn usage() -> ExitCode {
            --checkpoint <file>                          durable snapshot file (explore)\n\
            --checkpoint-every N                         states between snapshots (explore)\n\
            --resume <file>                              resume from a snapshot (explore)\n\
-           --shards N                                   worker processes for sharded exploration (explore/check)\n\
            --digest-xor                                 print the visited-set digest (explore)\n\
            --ladder                                     supervised degradation ladder (check)\n\
            --format <text|json|sarif>                   lint report format (lint)\n\
@@ -166,20 +152,9 @@ struct Opts {
     wedge: Option<PanicFault>,
     /// `FX10_STALL_MS` — override the 10 s watchdog stall threshold.
     stall_ms: Option<u64>,
-    /// `--shards N` — run the exploration across N worker processes.
-    shards: Option<usize>,
     /// `--digest-xor` — print an order-independent digest of the
     /// visited-state set (collects every state's rendering).
     digest_xor: bool,
-    /// `FX10_SHARD_KILL=k[:n]` — shard worker `k` exits abruptly (no
-    /// ack, no result) right after writing its n-th checkpoint.
-    shard_kill: Option<(u32, u32)>,
-    /// `FX10_SHARD_WEDGE=k[:after]` — shard worker `k` goes silent after
-    /// expanding `after` states.
-    shard_wedge: Option<(u32, u64)>,
-    /// `FX10_SHARD_RESTARTS=N` — override the per-worker restart budget
-    /// (0 forces immediate migration on the first death).
-    shard_restarts: Option<u32>,
     /// True when any of `--jobs`/`--schedule-seed`/`--grain` appeared on
     /// `run`: dispatch to the real work-stealing runtime instead of the
     /// semantics stepper.
@@ -242,45 +217,11 @@ impl Opts {
             ..FaultPlan::none()
         }
     }
-
-    /// The sharded-exploration configuration: this binary re-invoked as
-    /// `fx10 shard-worker`, per-slot checkpoints under `--checkpoint`
-    /// (treated as a directory) or a per-process temp dir, and the chaos
-    /// env hooks mapped onto the fleet.
-    fn sharded_options(&self) -> Result<fx10_semantics::ShardedOptions, Fx10Error> {
-        let worker_exe = std::env::current_exe().map_err(|e| Fx10Error::Io {
-            path: "<current-exe>".to_string(),
-            message: e.to_string(),
-        })?;
-        let ckpt_dir = match &self.checkpoint {
-            Some(dir) => PathBuf::from(dir),
-            None => std::env::temp_dir().join(format!("fx10-shards-{}", std::process::id())),
-        };
-        let wd = self.watchdog();
-        Ok(fx10_semantics::ShardedOptions {
-            shards: self.shards.unwrap_or(1),
-            worker_exe,
-            worker_args: vec!["shard-worker".to_string()],
-            ckpt_dir,
-            ckpt_every: self.checkpoint_every as u64,
-            policy: fx10_robust::backoff::RestartPolicy {
-                max_restarts: self.shard_restarts.unwrap_or(2),
-                ..fx10_robust::backoff::RestartPolicy::default()
-            },
-            stall_after: wd.stall_after,
-            poll: wd.poll,
-            deadline: self.timeout_ms.map(Duration::from_millis),
-            collect: self.digest_xor,
-            chaos_kill: self.shard_kill,
-            chaos_wedge: self.shard_wedge,
-        })
-    }
 }
 
-/// The explorer summary shared by the single-process and sharded paths —
-/// identical stdout modulo the leading `jobs:`/`shards:` line, which is
-/// what lets the chaos harness diff a faulted sharded run against the
-/// sequential reference.
+/// The explorer summary: identical stdout modulo the leading `jobs:`
+/// line, which is what lets the chaos harness diff a resumed run
+/// against an uninterrupted reference.
 fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: bool) {
     println!(
         "{} state(s) visited{}, {} terminal(s), deadlock-free: {}",
@@ -372,11 +313,7 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
         kill_at: None,
         wedge: None,
         stall_ms: None,
-        shards: None,
         digest_xor: false,
-        shard_kill: None,
-        shard_wedge: None,
-        shard_restarts: None,
         use_runtime: false,
         schedule_seed: None,
         grain: 0,
@@ -542,18 +479,6 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
                     .parse()
                     .map_err(|_| "bad witness state count")?;
             }
-            "--shards" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad shard count")?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                o.shards = Some(n);
-            }
             "--schedule-seed" => {
                 i += 1;
                 o.schedule_seed = Some(
@@ -590,15 +515,8 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
         }
         i += 1;
     }
-    if o.checkpoint.is_none() && seen.contains(&"--checkpoint-every") && o.shards.is_none() {
-        return Err("--checkpoint-every requires --checkpoint or --shards".to_string());
-    }
-    if seen.contains(&"--shards") && seen.contains(&"--resume") {
-        return Err(
-            "--resume resumes a single-process snapshot; sharded runs resume themselves \
-             from their per-shard checkpoints"
-                .to_string(),
-        );
+    if o.checkpoint.is_none() && seen.contains(&"--checkpoint-every") {
+        return Err("--checkpoint-every requires --checkpoint".to_string());
     }
     Ok((o, seen))
 }
@@ -613,7 +531,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--checkpoint",
     "--checkpoint-every",
     "--resume",
-    "--shards",
     "--digest-xor",
     "--schedule-seed",
     "--grain",
@@ -656,7 +573,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--checkpoint",
             "--checkpoint-every",
             "--resume",
-            "--shards",
             "--digest-xor",
         ],
         "mhp" => &["--ci", "--solver", "--fallback-ci"],
@@ -671,16 +587,7 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--domain",
         ],
         "absint" => &["--input", "--domain", "--format", "--solver"],
-        "check" => &[
-            "--max-states",
-            "--jobs",
-            "--solver",
-            "--input",
-            "--ladder",
-            "--shards",
-            "--checkpoint",
-            "--checkpoint-every",
-        ],
+        "check" => &["--max-states", "--jobs", "--solver", "--input", "--ladder"],
         "x10" => &["--ci", "--solver", "--places"],
         "bench" => &["--ci", "--solver"],
         _ => &[],
@@ -705,8 +612,7 @@ fn validate_flags(cmd: &str, seen: &[&'static str]) -> Result<(), String> {
 /// faults through an unmodified binary. Values are parsed as strictly as
 /// command-line flags: garbage is a usage error, not a silent no-op.
 ///
-/// The hooks steer the explorer's fault plan, watchdog and shard fleet,
-/// so they are only meaningful on the commands that explore (`explore`,
+/// The hooks steer the explorer's fault plan and watchdog, so they are only meaningful on the commands that explore (`explore`,
 /// `check`). Anywhere else — including the real runtime behind
 /// `fx10 run --jobs` — a set hook is rejected (exit 2): a chaos harness
 /// that exports `FX10_KILL_AT_CHECKPOINT` around `fx10 mhp` or
@@ -730,9 +636,6 @@ fn env_hooks(o: &mut Opts, cmd: &str) -> Result<(), String> {
             "FX10_KILL_AT_CHECKPOINT",
             "FX10_WEDGE_WORKER",
             "FX10_STALL_MS",
-            "FX10_SHARD_KILL",
-            "FX10_SHARD_WEDGE",
-            "FX10_SHARD_RESTARTS",
         ];
         for name in HOOKS {
             if var(name)?.is_some() {
@@ -743,47 +646,6 @@ fn env_hooks(o: &mut Opts, cmd: &str) -> Result<(), String> {
             }
         }
         return Ok(());
-    }
-    if let Some(v) = var("FX10_SHARD_KILL")? {
-        let (worker, nth) = match v.split_once(':') {
-            Some((w, n)) => (
-                w.parse()
-                    .map_err(|_| format!("bad FX10_SHARD_KILL worker `{w}`"))?,
-                n.parse()
-                    .map_err(|_| format!("bad FX10_SHARD_KILL checkpoint `{n}`"))?,
-            ),
-            None => (
-                v.parse()
-                    .map_err(|_| format!("bad FX10_SHARD_KILL `{v}`"))?,
-                1,
-            ),
-        };
-        if nth == 0 {
-            return Err("FX10_SHARD_KILL checkpoint is 1-based; must be >= 1".to_string());
-        }
-        o.shard_kill = Some((worker, nth));
-    }
-    if let Some(v) = var("FX10_SHARD_WEDGE")? {
-        let (worker, after) = match v.split_once(':') {
-            Some((w, a)) => (
-                w.parse()
-                    .map_err(|_| format!("bad FX10_SHARD_WEDGE worker `{w}`"))?,
-                a.parse()
-                    .map_err(|_| format!("bad FX10_SHARD_WEDGE threshold `{a}`"))?,
-            ),
-            None => (
-                v.parse()
-                    .map_err(|_| format!("bad FX10_SHARD_WEDGE `{v}`"))?,
-                0,
-            ),
-        };
-        o.shard_wedge = Some((worker, after));
-    }
-    if let Some(v) = var("FX10_SHARD_RESTARTS")? {
-        o.shard_restarts = Some(
-            v.parse()
-                .map_err(|_| format!("bad FX10_SHARD_RESTARTS `{v}`"))?,
-        );
     }
     if let Some(v) = var("FX10_KILL_AT_CHECKPOINT")? {
         let n: u64 = v
@@ -910,31 +772,6 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             println!("a = {:?}", out.array.cells());
             println!("result a[0] = {}", out.array.result());
             Ok(Verdict::of(out.exhausted))
-        }
-        "explore" if opts.shards.is_some() => {
-            let p = load(target)?;
-            let (e, prov) = fx10_semantics::explore_sharded(
-                &p,
-                &opts.input,
-                &ExploreConfig {
-                    max_states: opts.max_states,
-                    collect_states: opts.digest_xor,
-                    ..ExploreConfig::default()
-                },
-                &opts.sharded_options()?,
-                &cancel,
-            )?;
-            for ev in &prov.events {
-                eprintln!("shards: {ev}");
-            }
-            println!(
-                "shards: {} worker process(es), {} restart(s), {} migration(s)",
-                opts.shards.unwrap_or(1),
-                prov.restarts,
-                prov.migrations
-            );
-            print_exploration(&p, &e, opts.digest_xor);
-            Ok(Verdict::of(e.exhausted))
         }
         "explore" => {
             let p = load(target)?;
@@ -1155,35 +992,6 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 max_states: opts.max_states,
                 ..ExploreConfig::default()
             };
-            // `--shards N` puts a sharded-explore rung above the
-            // in-process ones: fleet-level faults descend to the
-            // parallel explorer, which has its own ladder below it.
-            let shard_runner = match opts.shards {
-                Some(_) => {
-                    let sopts = opts.sharded_options()?;
-                    Some(fx10_core::analysis::ShardRunner(std::sync::Arc::new(
-                        move |p: &Program, input: &[i64], cancel: &CancelToken| {
-                            let (e, prov) = fx10_semantics::explore_sharded(
-                                p,
-                                input,
-                                &explore_config,
-                                &sopts,
-                                cancel,
-                            )?;
-                            Ok(fx10_core::analysis::ShardOutcome {
-                                pairs: e.mhp,
-                                deadlock_free: e.deadlock_free,
-                                truncated: e.truncated,
-                                exhausted: e.exhausted,
-                                events: prov.events,
-                                restarts: prov.restarts,
-                                migrations: prov.migrations,
-                            })
-                        },
-                    )))
-                }
-                None => None,
-            };
             let sup = Supervisor {
                 jobs: opts.jobs,
                 budget,
@@ -1191,7 +999,6 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 solver: opts.solver,
                 stall_after: wd.stall_after,
                 poll: wd.poll,
-                shard_runner,
                 ..Supervisor::default()
             };
             let ans = sup.run(&p, &opts.input, &cancel, &opts.faults())?;
@@ -1199,12 +1006,6 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 println!("ladder: {line}");
             }
             println!("ladder: answered on rung {}", ans.rung);
-            if opts.shards.is_some() {
-                println!(
-                    "ladder: shard restarts {}, migrations {}",
-                    ans.shard_restarts, ans.shard_migrations
-                );
-            }
             if !ans.rung.is_dynamic() {
                 // No dynamic ground truth was obtainable, so Theorem 2
                 // cannot be checked — the static pair set is still a
@@ -1459,38 +1260,12 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
     }
 }
 
-/// The hidden `shard-worker` mode: speak FX10SNAP frames on
-/// stdin/stdout under the supervisor spawned by `explore --shards`. It
-/// takes no arguments; any is a usage error (exit 2), because a worker
-/// started by hand with flags would otherwise sit waiting for an `INIT`
-/// that never comes.
-fn shard_worker_entry(args: &[String]) -> ExitCode {
-    if let Some(arg) = args.first() {
-        eprintln!("error: unknown shard-worker option `{arg}`");
-        eprintln!("usage: fx10 shard-worker   (spawned by `fx10 explore --shards N`)");
-        return ExitCode::from(2);
-    }
-    match fx10_semantics::shard_worker_main(std::io::stdin(), std::io::stdout().lock()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("shard-worker: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => return usage(),
     };
-    if cmd == "shard-worker" {
-        // Internal protocol mode spawned by `explore --shards`: stdout
-        // is the frame channel, so nothing human-readable is printed
-        // there; diagnostics go to stderr (inherited from the parent).
-        return shard_worker_entry(rest);
-    }
     const COMMANDS: &[&str] = &[
         "parse", "run", "explore", "mhp", "race", "lint", "absint", "check", "x10", "bench",
     ];
@@ -1531,13 +1306,6 @@ fn main() -> ExitCode {
                     return usage();
                 }
                 o.use_runtime = runtime_flags;
-            }
-            if cmd == "check" && o.shards.is_some() && !o.ladder {
-                eprintln!(
-                    "error: `--shards` on `check` requires `--ladder` \
-                     (the sharded explorer is a ladder rung)"
-                );
-                return usage();
             }
             if cmd == "absint" && o.format == LintFormat::Sarif {
                 eprintln!(

@@ -214,25 +214,23 @@ fn usage_errors_exit_2() {
         code(&fx10(&["mhp", "programs/example22.fx10", "--bogus"])),
         2
     );
-    // The flags of the removed socket transport are unknown options.
+    // The flags of the removed socket transport and process fleet are
+    // unknown options, and the fleet's worker mode is an unknown command.
     for (flag, value) in [
+        ("shards", "2"),
         ("listen", "127.0.0.1:0"),
         ("secret-file", "f"),
         ("reconnects", "1"),
     ] {
         let flag = format!("--{flag}");
-        let out = fx10(&[
-            "explore",
-            "programs/fork_join.fx10",
-            "--shards",
-            "2",
-            &flag,
-            value,
-        ]);
+        let out = fx10(&["explore", "programs/fork_join.fx10", &flag, value]);
         assert_eq!(code(&out), 2, "{flag}: {out:?}");
         let e = String::from_utf8_lossy(&out.stderr).into_owned();
         assert!(e.contains("unknown option"), "{flag}: {e}");
     }
+    let out = fx10(&["shard-worker"]);
+    assert_eq!(code(&out), 2, "{out:?}");
+    assert!(stderr(&out).contains("unknown command"), "{}", stderr(&out));
     assert_eq!(code(&fx10(&["frobnicate", "x"])), 2);
     assert_eq!(
         code(&fx10(&[
@@ -540,6 +538,12 @@ fn known_flag_on_the_wrong_subcommand_exits_2() {
         &["run", "programs/fork_join.fx10", "--solver", "worklist"],
         &["race", "programs/racey.fx10", "--places"],
         &["check", "programs/example22.fx10", "--fallback-ci"],
+        &[
+            "check",
+            "programs/example22.fx10",
+            "--checkpoint",
+            "x.fxsnap",
+        ],
     ];
     for argv in cases {
         let out = fx10(argv);
@@ -595,6 +599,73 @@ fn kill_at_checkpoint_then_resume_matches_the_reference_run() {
     assert_eq!(code(&reference), 0);
     assert_eq!(stdout(&resumed), stdout(&reference));
     let _ = std::fs::remove_file(&ck);
+}
+
+/// The resume-under-changed-budget matrix. The snapshot fingerprint
+/// deliberately excludes `--max-states`, so a truncated run's
+/// checkpoint resumes under any budget: a smaller or equal budget stays
+/// inconclusive (exit 3), a larger budget completes the exploration
+/// (exit 0) and reproduces the uninterrupted reference answer.
+#[test]
+fn resume_under_changed_budget_matrix() {
+    const WIDE: &str = "programs/chaos_wide.fx10";
+    let ck = temp_snap("budget-matrix");
+    let truncated = fx10(&[
+        "explore",
+        WIDE,
+        "--max-states",
+        "5000",
+        "--checkpoint",
+        &ck,
+        "--checkpoint-every",
+        "1000",
+    ]);
+    assert_eq!(code(&truncated), 3, "{truncated:?}");
+    assert!(
+        stderr(&truncated).contains("inconclusive: state budget exhausted"),
+        "{truncated:?}"
+    );
+
+    // Smaller and equal budgets: still inconclusive, same exit code.
+    for budget in ["3000", "5000"] {
+        let out = fx10(&["explore", WIDE, "--max-states", budget, "--resume", &ck]);
+        assert_eq!(code(&out), 3, "budget {budget}: {out:?}");
+        assert!(
+            stderr(&out).contains("inconclusive: state budget exhausted"),
+            "budget {budget}: {out:?}"
+        );
+        assert!(stderr(&out).contains("resuming from"), "{out:?}");
+    }
+
+    // A larger budget finishes the job and matches the reference.
+    let resumed = fx10(&["explore", WIDE, "--resume", &ck]);
+    assert_eq!(code(&resumed), 0, "{resumed:?}");
+    let reference = fx10(&["explore", WIDE]);
+    assert_eq!(code(&reference), 0);
+    assert_eq!(stdout(&resumed), stdout(&reference));
+    let _ = std::fs::remove_file(&ck);
+}
+
+/// Chaos hooks only make sense on commands that explore; on anything
+/// else a set hook is a usage error, not a silent no-op — a fault you
+/// planned must never be silently skipped.
+#[test]
+fn chaos_hooks_are_rejected_on_non_exploring_commands() {
+    for var in [
+        "FX10_KILL_AT_CHECKPOINT",
+        "FX10_WEDGE_WORKER",
+        "FX10_STALL_MS",
+    ] {
+        for cmd in ["parse", "mhp", "lint"] {
+            let out = fx10_env(&[cmd, "programs/example22.fx10"], &[(var, "1")]);
+            assert_eq!(code(&out), 2, "{var} on {cmd}: {out:?}");
+            let e = stderr(&out);
+            assert!(
+                e.contains(var) && e.contains("commands that explore"),
+                "{var} on {cmd}: {e}"
+            );
+        }
+    }
 }
 
 /// Garbage in the chaos-hook environment variables is a usage error —
@@ -780,7 +851,6 @@ fn runtime_flags_pass_the_allowed_flags_audit() {
         &["explore", "programs/fork_join.fx10", "--schedule-seed", "1"][..],
         &["mhp", "programs/example22.fx10", "--grain", "1"][..],
         &["explore", "programs/fork_join.fx10", "--elide"][..],
-        &["run", "programs/fork_join.fx10", "--shards", "2"][..],
     ] {
         let out = fx10(argv);
         assert_eq!(code(&out), 2, "{argv:?}: {out:?}");
@@ -833,7 +903,7 @@ fn runtime_flags_pass_the_allowed_flags_audit() {
     }
 }
 
-/// The six chaos env hooks' exit-2 contract covers `fx10 run` in all
+/// The three chaos env hooks' exit-2 contract covers `fx10 run` in all
 /// three engine modes: a fault the runtime cannot honor must never be
 /// silently ignored.
 #[test]
@@ -842,9 +912,6 @@ fn chaos_env_hooks_are_rejected_on_run() {
         "FX10_KILL_AT_CHECKPOINT",
         "FX10_WEDGE_WORKER",
         "FX10_STALL_MS",
-        "FX10_SHARD_KILL",
-        "FX10_SHARD_WEDGE",
-        "FX10_SHARD_RESTARTS",
     ] {
         for argv in [
             &["run", "programs/fork_join.fx10"][..],

@@ -13,16 +13,15 @@
 //! Partial results carry an [`Exhaustion`] provenance so callers can
 //! distinguish "complete" from "budget-cut" answers, and a [`FaultPlan`]
 //! lets the test harness inject panics, forced budget trips and
-//! adversarial scheduling to prove those paths actually work.
+//! adversarial scheduling to prove those paths actually work. The
+//! [`snapshot`] module holds the versioned, checksummed container that
+//! durable explorer checkpoints are written in.
 //!
 //! The crate is dependency-free and sits below every other workspace
 //! crate.
 
 #![warn(missing_docs)]
 
-pub mod backoff;
-pub mod ipc;
-pub mod shard;
 pub mod snapshot;
 
 use std::fmt;

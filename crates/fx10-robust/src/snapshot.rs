@@ -133,12 +133,6 @@ impl SectionBuf {
         self.put_u64(v as u64);
     }
 
-    /// Appends raw bytes verbatim (no length prefix — callers that need
-    /// one write it themselves).
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.bytes.extend_from_slice(v);
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.bytes.len()
@@ -304,11 +298,6 @@ impl Cursor<'_> {
         self.get_u64()?
             .try_into()
             .map_err(|_| SnapshotError::Malformed("count overflows usize".into()))
-    }
-
-    /// Reads exactly `n` raw bytes.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
-        self.take(n)
     }
 
     /// Bytes not yet consumed.

@@ -484,9 +484,6 @@ struct Engine<'p> {
     /// thieves take the front half (the opposite under an adversarial
     /// plan).
     deques: Vec<Mutex<VecDeque<u64>>>,
-    /// Seed states, consulted when a worker's own deque and all steals
-    /// come up empty.
-    injector: Mutex<VecDeque<u64>>,
     /// States discovered but not yet fully expanded — the termination
     /// barrier: no work anywhere and `pending == 0` means done.
     pending: AtomicUsize,
@@ -525,8 +522,8 @@ impl Engine<'_> {
         64 + std::mem::size_of_val(self.interner.cells(a))
     }
 
-    /// Takes the next state: own deque first, then the injector, then a
-    /// steal of half of some victim's deque.
+    /// Takes the next state: own deque first, then a steal of half of
+    /// some victim's deque.
     fn grab(&self, id: usize, adversarial: bool) -> Option<u64> {
         {
             let mut own = lock_shard(&self.deques[id]);
@@ -538,9 +535,6 @@ impl Engine<'_> {
             if got.is_some() {
                 return got;
             }
-        }
-        if let Some(k) = lock_shard(&self.injector).pop_front() {
-            return Some(k);
         }
         let n = self.deques.len();
         for off in 1..n {
@@ -638,11 +632,13 @@ impl Engine<'_> {
         self.heartbeats[id].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One worker's drain loop. Panics escape to the `catch_unwind` in
-    /// the spawner. Every path out of the loop leaves the worker holding
-    /// no in-flight key, so `visited = expanded ∪ frontier` holds at
-    /// exit and at every checkpoint safepoint.
-    fn worker(&self, id: usize, faults: &FaultPlan) {
+    /// One worker's drain loop; `first` is the state it expands before
+    /// grabbing (the root for worker 0 of a fresh run). Panics escape to
+    /// the `catch_unwind` in the spawner. Every path out of the loop
+    /// leaves the worker holding no in-flight key, so `visited =
+    /// expanded ∪ frontier` holds at exit and at every checkpoint
+    /// safepoint.
+    fn worker(&self, id: usize, faults: &FaultPlan, mut first: Option<u64>) {
         let mut scratch = Vec::new();
         let mut processed = 0u64;
         loop {
@@ -676,7 +672,10 @@ impl Engine<'_> {
                 }
                 break;
             }
-            let Some(key) = self.grab(id, faults.adversarial_schedule) else {
+            let Some(key) = first
+                .take()
+                .or_else(|| self.grab(id, faults.adversarial_schedule))
+            else {
                 if self.pending.load(Ordering::SeqCst) == 0 {
                     break;
                 }
@@ -701,6 +700,11 @@ impl Engine<'_> {
             }
             self.expand(id, key, &mut scratch);
             self.pending.fetch_sub(1, Ordering::SeqCst);
+        }
+        // A stop (stall, cancel, deadline) or a wedge before the first
+        // state was taken: queue it so the final checkpoint keeps it.
+        if let Some(key) = first {
+            lock_shard(&self.deques[id]).push_back(key);
         }
     }
 
@@ -763,7 +767,6 @@ impl Engine<'_> {
         for dq in &self.deques {
             frontier.extend(lock_shard(dq).iter().copied());
         }
-        frontier.extend(lock_shard(&self.injector).iter().copied());
         frontier.sort_unstable();
         ExplorerSnapshot::capture(
             &self.interner,
@@ -915,7 +918,6 @@ pub fn explore_parallel_durable(
         max_states,
         visited: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
         deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        injector: Mutex::new(VecDeque::new()),
         pending: AtomicUsize::new(0),
         meter: SharedMeter::new(budget, cancel.clone()),
         deadlock_free: AtomicBool::new(true),
@@ -934,6 +936,10 @@ pub fn explore_parallel_durable(
             .map(|spec| CkptCtl::new(spec, faults.kill_at_checkpoint)),
     };
 
+    // A fresh run hands its root straight to worker 0, so worker 0's
+    // first processed state is the root whatever order the threads start
+    // in; a resumed run's frontier is already spread over the deques.
+    let mut root = None;
     let run_crew = if let Some(snap) = durability.resume {
         if snap.fingerprint != fingerprint {
             return Err(Fx10Error::Snapshot {
@@ -987,7 +993,7 @@ pub fn explore_parallel_durable(
         {
             lock_shard(&engine.visited[shard_idx(seed)]).insert(seed);
             engine.pending.store(1, Ordering::SeqCst);
-            lock_shard(&engine.injector).push_back(seed);
+            root = Some(seed);
             true
         } else {
             false
@@ -998,9 +1004,10 @@ pub fn explore_parallel_durable(
         std::thread::scope(|scope| {
             for worker_id in 0..threads {
                 let engine = &engine;
+                let first = root.take();
                 scope.spawn(move || {
                     if let Err(payload) =
-                        catch_unwind(AssertUnwindSafe(|| engine.worker(worker_id, faults)))
+                        catch_unwind(AssertUnwindSafe(|| engine.worker(worker_id, faults, first)))
                     {
                         // Contain the panic: record it and tell the crew
                         // to drain out (the in-flight pending credit is

@@ -32,7 +32,6 @@ pub mod explore;
 pub mod intern;
 pub mod interp;
 pub mod parallel;
-pub mod shard;
 pub mod snapshot;
 pub mod state;
 pub mod step;
@@ -47,9 +46,6 @@ pub use explore::{
 pub use intern::{ArrayId, Interner, StmtId, TreeId};
 pub use interp::{run, run_budgeted, run_result, RunOutcome, Scheduler};
 pub use parallel::{ftlabels, parallel, LabelPair};
-pub use shard::{
-    explore_sharded, shard_of, shard_worker_main, ShardProvenance, ShardedOptions, StateDigests,
-};
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;
 pub use tree::Tree;

@@ -426,113 +426,6 @@ impl ExplorerSnapshot {
         }
     }
 
-    /// Freezes only the states in `keys` with tables garbage-collected
-    /// to their transitive closure — the *frontier batch* form used by
-    /// the shard protocol. The batch's `visited` and `frontier` are both
-    /// exactly `keys` (so the subset validation in
-    /// [`from_bytes`](ExplorerSnapshot::from_bytes) holds), counters are
-    /// neutral, and ids are densely renumbered preserving the
-    /// tails-precede-referrers / children-precede-node invariants (the
-    /// interner assigns ids bottom-up, so ascending old-id order keeps
-    /// both).
-    pub fn capture_batch(interner: &Interner, fingerprint: u64, keys: &[u64]) -> ExplorerSnapshot {
-        use std::collections::{BTreeSet, HashMap};
-        let mut tree_ids = BTreeSet::new();
-        let mut stmt_ids = BTreeSet::new();
-        let mut array_ids = BTreeSet::new();
-        let mut stack = Vec::new();
-        for &k in keys {
-            let (a, t) = state_parts(k);
-            array_ids.insert(a.0);
-            if tree_ids.insert(t.0) {
-                stack.push(t);
-            }
-            while let Some(t) = stack.pop() {
-                match interner.node(t) {
-                    TNode::Done => {}
-                    TNode::Stm(s) => {
-                        let mut cur = Some(s);
-                        while let Some(s) = cur {
-                            if !stmt_ids.insert(s.0) {
-                                break;
-                            }
-                            cur = interner.stmt_tail(s);
-                        }
-                    }
-                    TNode::Seq(a, b) | TNode::Par(a, b) => {
-                        if tree_ids.insert(a.0) {
-                            stack.push(a);
-                        }
-                        if tree_ids.insert(b.0) {
-                            stack.push(b);
-                        }
-                    }
-                }
-            }
-        }
-        // `√` is id 0 in every interner; batches keep that invariant so
-        // restored terminal states stay terminal.
-        tree_ids.insert(0);
-
-        let smap: HashMap<u32, u32> = stmt_ids
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as u32))
-            .collect();
-        let tmap: HashMap<u32, u32> = tree_ids
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as u32))
-            .collect();
-        let amap: HashMap<u32, u32> = array_ids
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as u32))
-            .collect();
-
-        let stmts = stmt_ids
-            .iter()
-            .map(|&old| {
-                let id = StmtId(old);
-                (
-                    interner.stmt(id).head().clone(),
-                    interner.stmt_tail(id).map(|t| smap[&t.0]),
-                )
-            })
-            .collect();
-        let trees = tree_ids
-            .iter()
-            .map(|&old| match interner.node(TreeId(old)) {
-                TNode::Done => (0u8, 0u32, 0u32),
-                TNode::Stm(s) => (1, smap[&s.0], 0),
-                TNode::Seq(a, b) => (2, tmap[&a.0], tmap[&b.0]),
-                TNode::Par(a, b) => (3, tmap[&a.0], tmap[&b.0]),
-            })
-            .collect();
-        let arrays = array_ids
-            .iter()
-            .map(|&old| interner.cells(ArrayId(old)).to_vec())
-            .collect();
-        let remapped: Vec<u64> = keys
-            .iter()
-            .map(|&k| {
-                let (a, t) = state_parts(k);
-                crate::intern::state_key(ArrayId(amap[&a.0]), TreeId(tmap[&t.0]))
-            })
-            .collect();
-        ExplorerSnapshot {
-            fingerprint,
-            terminals: 0,
-            deadlock_free: true,
-            ticks: 0,
-            stmts,
-            trees,
-            arrays,
-            visited: remapped.clone(),
-            frontier: remapped,
-        }
-    }
-
     /// Re-interns every table into `interner` and returns the old→new id
     /// maps `(stmts, trees, arrays)`. Entries are decoded in order, so
     /// every reference is already mapped when its referrer arrives (the
