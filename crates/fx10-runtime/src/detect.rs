@@ -47,13 +47,13 @@
 //! of `(label pair, cell)` for which some earlier access is unordered
 //! with a later one, at least one of them a write.
 
+use fx10_semantics::hash::{IdMap, IdSet};
 use fx10_semantics::parallel::pair;
 use fx10_semantics::LabelPair;
 use fx10_syntax::Label;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// Components per copy-on-write clock block: large enough that a fork
@@ -183,40 +183,9 @@ pub struct DetectedRace {
     pub cell: usize,
 }
 
-/// Multiplicative hashing (as in rustc's `FxHasher`) for the shadow's
-/// keys: activity ids and labels, dense integers the runtime and the
-/// parser assign, which need no protection against crafted collisions.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // A product's low bits depend only on the key's low bits, and
-        // the table indexes buckets by the low bits: rotate the
-        // well-mixed high bits down.
-        self.0.rotate_left(26)
-    }
-}
-
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-
 /// A set of normalized label pairs, each packed into one integer that
 /// hashes in one round and sorts as the pair does.
-type PairSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
+type PairSet = IdSet<u64>;
 
 fn pack(a: Label, b: Label) -> u64 {
     let (lo, hi) = pair(a, b);

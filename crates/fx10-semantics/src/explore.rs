@@ -52,7 +52,10 @@
 //! or injected) is contained by `catch_unwind` and surfaces as
 //! [`Fx10Error::WorkerPanicked`] instead of aborting the process.
 
-use crate::intern::{self, state_key, state_parts, ArrayId, Interner, TreeId};
+use crate::hash::IdSet;
+use crate::intern::{
+    self, state_key, state_parts, ArrayId, Interner, StateRenderer, Stepper, TreeBits, TreeId,
+};
 use crate::parallel::{parallel, LabelPair};
 use crate::snapshot::{self, ExplorerSnapshot};
 use crate::state::ArrayState;
@@ -62,6 +65,7 @@ use fx10_robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, SharedM
 use fx10_syntax::Program;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::hash::Hash;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -356,6 +360,22 @@ fn shard_idx(key: u64) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % SHARDS
 }
 
+/// One worker's slot of a per-worker table, on cache lines of its own:
+/// packed side by side, the workers' deque mutexes and heartbeat
+/// counters would share a line that every push, pop and loop iteration
+/// bounces between cores. 128 bytes, because x86 prefetches lines in
+/// adjacent pairs.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Locks a shard, recovering from poisoning: a worker that panicked while
 /// holding the lock leaves the structure in a consistent state for our
 /// invariants (visited sets only grow; deques hold plain keys), so
@@ -479,11 +499,11 @@ struct Engine<'p> {
     normalize: bool,
     max_states: usize,
     /// Distinct packed state keys, sharded.
-    visited: Vec<Mutex<HashSet<u64>>>,
+    visited: Vec<Mutex<IdSet<u64>>>,
     /// One work deque per worker: the owner pushes and pops at the back,
     /// thieves take the front half (the opposite under an adversarial
     /// plan).
-    deques: Vec<Mutex<VecDeque<u64>>>,
+    deques: Vec<Padded<Mutex<VecDeque<u64>>>>,
     /// States discovered but not yet fully expanded — the termination
     /// barrier: no work anywhere and `pending == 0` means done.
     pending: AtomicUsize,
@@ -499,9 +519,9 @@ struct Engine<'p> {
     /// One monotonically-advancing epoch per worker; bumped at every
     /// loop iteration (including park-spins and work hunts), frozen only
     /// when a worker is genuinely wedged.
-    heartbeats: Vec<AtomicU64>,
+    heartbeats: Vec<Padded<AtomicU64>>,
     /// Set once a worker's thread has returned (panicked or not).
-    exited: Vec<AtomicBool>,
+    exited: Vec<Padded<AtomicBool>>,
     /// Workers returned so far; the last one to return signals
     /// `crew_done`, which wakes the watchdog at once.
     exits: Mutex<usize>,
@@ -574,14 +594,20 @@ impl Engine<'_> {
     /// enqueues every newly-discovered successor. Returns early when a
     /// budget wall is hit — the reservation failure has already raised
     /// the stop flag.
-    fn expand(&self, id: usize, key: u64, scratch: &mut Vec<(ArrayId, TreeId)>) {
+    fn expand(
+        &self,
+        id: usize,
+        key: u64,
+        stepper: &mut Stepper<'_>,
+        scratch: &mut Vec<(ArrayId, TreeId)>,
+    ) {
         let (a, t) = state_parts(key);
         if t == intern::DONE {
             self.terminals.fetch_add(1, Ordering::Relaxed);
             return;
         }
         scratch.clear();
-        self.interner.successors(self.p, a, t, scratch);
+        stepper.successors(self.p, a, t, scratch);
         self.meter.charge_ticks(1);
         if scratch.is_empty() {
             self.deadlock_free.store(false, Ordering::Relaxed);
@@ -639,6 +665,7 @@ impl Engine<'_> {
     /// expanded ∪ frontier` holds at exit and at every checkpoint
     /// safepoint.
     fn worker(&self, id: usize, faults: &FaultPlan, mut first: Option<u64>) {
+        let mut stepper = self.interner.stepper();
         let mut scratch = Vec::new();
         let mut processed = 0u64;
         loop {
@@ -698,7 +725,7 @@ impl Engine<'_> {
                     break;
                 }
             }
-            self.expand(id, key, &mut scratch);
+            self.expand(id, key, &mut stepper, &mut scratch);
             self.pending.fetch_sub(1, Ordering::SeqCst);
         }
         // A stop (stall, cancel, deadline) or a wedge before the first
@@ -916,8 +943,8 @@ pub fn explore_parallel_durable(
         interner: Interner::new(config.canonical_dedup),
         normalize: config.normalize_admin,
         max_states,
-        visited: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+        visited: (0..SHARDS).map(|_| Mutex::default()).collect(),
+        deques: (0..threads).map(|_| Padded(Mutex::default())).collect(),
         pending: AtomicUsize::new(0),
         meter: SharedMeter::new(budget, cancel.clone()),
         deadlock_free: AtomicBool::new(true),
@@ -925,8 +952,10 @@ pub fn explore_parallel_durable(
         cancelled: AtomicBool::new(false),
         panic: Mutex::new(None),
         fingerprint,
-        heartbeats: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-        exited: (0..threads).map(|_| AtomicBool::new(false)).collect(),
+        heartbeats: (0..threads).map(|_| Padded(AtomicU64::new(0))).collect(),
+        exited: (0..threads)
+            .map(|_| Padded(AtomicBool::new(false)))
+            .collect(),
         exits: Mutex::new(0),
         crew_done: Condvar::new(),
         parked: AtomicUsize::new(0),
@@ -1059,29 +1088,30 @@ pub fn explore_parallel_durable(
 
     // Dynamic MHP over every *discovered* state (queued-but-unexpanded
     // states included, exactly like the sequential engine's queue
-    // drain), memoized per distinct tree id. The visited set is exactly
-    // the admitted states, resumed or fresh, so deriving the tree set
-    // from it covers both uniformly.
-    let mut tree_ids: HashSet<TreeId> = HashSet::new();
+    // drain), over the distinct tree ids. The visited set is exactly the
+    // admitted states, resumed or fresh, so deriving the tree set from it
+    // covers both uniformly.
+    let mut trees = TreeBits::with_capacity(engine.interner.counts().1);
     for shard in &engine.visited {
         for &k in lock_shard(shard).iter() {
-            tree_ids.insert(state_parts(k).1);
+            trees.insert(state_parts(k).1);
         }
     }
-    let mhp = engine.interner.parallel_of_trees(tree_ids.iter().copied());
+    let mhp = engine.interner.parallel_of_trees(trees);
 
     let state_digests = config.collect_states.then(|| {
-        engine
-            .visited
-            .iter()
-            .flat_map(|shard| {
-                lock_shard(shard)
-                    .iter()
-                    .map(|&k| {
-                        let (a, t) = state_parts(k);
-                        engine.interner.render_state(a, t)
-                    })
-                    .collect::<Vec<_>>()
+        let mut keys: Vec<u64> = Vec::with_capacity(engine.meter.states());
+        for shard in &engine.visited {
+            keys.extend(lock_shard(shard).iter().copied());
+        }
+        // In tree-id order, states whose trees share subtrees render one
+        // after another, so the walks stay in cache.
+        keys.sort_unstable_by_key(|&k| k.rotate_left(32));
+        let mut render = StateRenderer::new(&engine.interner);
+        keys.iter()
+            .map(|&k| {
+                let (a, t) = state_parts(k);
+                render.render_state(a, t)
             })
             .collect()
     });

@@ -33,15 +33,24 @@
 //! growing segments, and value→id interning takes one sharded lock. Ids
 //! are published to other workers only through locks or join points,
 //! which order the slot writes before any cross-thread read.
+//!
+//! ## The per-worker stepper
+//!
+//! Successors are enumerated by a [`Stepper`], which each worker owns.
+//! It fronts the shared maps with two small direct-mapped caches: raw
+//! tree nodes `(tag, a, b)` → [`TreeId`] and `(array, assignment label)`
+//! → [`ArrayId`]. Both map to values that never change once interned,
+//! and only ids the interner has already published are stored, so a
+//! slot that now holds another key is simply overwritten, never
+//! invalidated.
 
-use crate::parallel::{pair, LabelPair};
+use crate::hash::{id_hash, IdMap};
+use crate::parallel::LabelPair;
 use crate::tree::Tree;
 use fx10_syntax::{Instr, InstrKind, Label, Program, Stmt};
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::rc::Rc;
+use std::collections::BTreeSet;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -82,7 +91,13 @@ const SEGMENTS: usize = 21;
 /// slots of the 21 segments); state budgets keep real explorations far
 /// below this.
 const MAX_IDS: u32 = 1 << 28;
-const SHARDS: usize = 32;
+const SHARD_BITS: u32 = 5;
+const SHARDS: usize = 1 << SHARD_BITS;
+/// Slots per stepper cache: 1,024 direct-mapped entries of 16 bytes.
+/// 16,384 entries sped up one large exploration by up to 15% but not the
+/// benchmark's explore jobs, cost them ≈3 MB of peak RSS, and slowed the
+/// lint witness searches, which each allocate a stepper.
+const CACHE_BITS: u32 = 10;
 
 /// The (segment, offset) of slot `idx`: segment `b` starts at
 /// `2^8 · (2^b − 1)`, so `idx + 2^8` has its top bit at `8 + b`.
@@ -149,10 +164,16 @@ impl<T> SlotPages<T> {
     }
 }
 
-fn shard_of<K: Hash>(k: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    k.hash(&mut h);
-    (h.finish() as usize) % SHARDS
+/// The top bits of a second multiply: a shard's map indexes buckets by
+/// the low bits of the same hash and tags them with its top seven, so
+/// neither may be constant within a shard.
+#[inline]
+fn spread(h: u64, bits: u32) -> usize {
+    (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+}
+
+fn shard_of<K: Hash + ?Sized>(k: &K) -> usize {
+    spread(id_hash(k), SHARD_BITS)
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -192,28 +213,28 @@ pub struct Interner {
     canonical: bool,
 
     // Statements.
-    stmt_map: Vec<Mutex<HashMap<Stmt, u32>>>,
+    stmt_map: Vec<Mutex<IdMap<Stmt, u32>>>,
     stmt_vals: SlotPages<Stmt>,
     /// Tail links: 0 = unset, 1 = no tail, otherwise tail id + 2.
     stmt_tails: U64Pages,
     stmt_next: AtomicU32,
 
     // Trees (packed nodes).
-    tree_map: Vec<Mutex<HashMap<u64, u32>>>,
+    tree_map: Vec<Mutex<IdMap<u64, u32>>>,
     tree_nodes: U64Pages,
     tree_next: AtomicU32,
 
     // Array states.
-    array_map: Vec<Mutex<HashMap<Vec<i64>, u32>>>,
+    array_map: Vec<Mutex<IdMap<Vec<i64>, u32>>>,
     array_vals: SlotPages<Vec<i64>>,
     array_next: AtomicU32,
 
     /// `⟨s⟩ → ⟨s'⟩` derivations that concatenate statements (while-unroll
     /// and call-inline), memoized by the source statement id.
-    unroll_cache: Vec<Mutex<HashMap<u32, u32>>>,
+    unroll_cache: Vec<Mutex<IdMap<u32, u32>>>,
     /// `async`/`finish` body statements, memoized by the instruction's
     /// (program-unique) label.
-    spawn_cache: Vec<Mutex<HashMap<Label, u32>>>,
+    spawn_cache: Vec<Mutex<IdMap<Label, u32>>>,
 }
 
 impl Interner {
@@ -223,18 +244,18 @@ impl Interner {
     pub fn new(canonical: bool) -> Self {
         let it = Interner {
             canonical,
-            stmt_map: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            stmt_map: (0..SHARDS).map(|_| Mutex::default()).collect(),
             stmt_vals: SlotPages::new(),
             stmt_tails: U64Pages::new(),
             stmt_next: AtomicU32::new(0),
-            tree_map: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            tree_map: (0..SHARDS).map(|_| Mutex::default()).collect(),
             tree_nodes: U64Pages::new(),
             tree_next: AtomicU32::new(0),
-            array_map: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            array_map: (0..SHARDS).map(|_| Mutex::default()).collect(),
             array_vals: SlotPages::new(),
             array_next: AtomicU32::new(0),
-            unroll_cache: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            spawn_cache: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            unroll_cache: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            spawn_cache: (0..SHARDS).map(|_| Mutex::default()).collect(),
         };
         // Reserve id 0 for √ so `DONE` is a constant.
         let done = it.intern_node(pack(TAG_DONE, 0, 0));
@@ -461,99 +482,13 @@ impl Interner {
 
     // -- semantics ----------------------------------------------------------
 
-    /// Enumerates all `(A', T')` with `(p, A, T) → (p, A', T')` over
-    /// interned ids — rules (1)–(14), mirroring
-    /// [`crate::step::successors`] but with structural sharing instead of
-    /// deep clones (and canonical `∥` re-assembly when the interner is
-    /// canonical).
-    pub fn successors(&self, p: &Program, a: ArrayId, t: TreeId, out: &mut Vec<(ArrayId, TreeId)>) {
-        match self.node(t) {
-            TNode::Done => {}
-            TNode::Seq(t1, t2) => {
-                if t1 == DONE {
-                    // Rule (1): √ ▷ T₂ → T₂.
-                    out.push((a, t2));
-                } else {
-                    // Rule (2): step inside T₁.
-                    let mut inner = Vec::new();
-                    self.successors(p, a, t1, &mut inner);
-                    for (sa, st) in inner {
-                        out.push((sa, self.seq(st, t2)));
-                    }
-                }
-            }
-            TNode::Par(t1, t2) => {
-                // Rules (3)/(4): eliminate a finished side.
-                if t1 == DONE {
-                    out.push((a, t2));
-                }
-                if t2 == DONE {
-                    out.push((a, t1));
-                }
-                // Rule (5): step inside T₁.
-                let mut inner = Vec::new();
-                self.successors(p, a, t1, &mut inner);
-                for (sa, st) in inner {
-                    out.push((sa, self.par(st, t2)));
-                }
-                // Rule (6): step inside T₂.
-                inner = Vec::new();
-                self.successors(p, a, t2, &mut inner);
-                for (sa, st) in inner {
-                    out.push((sa, self.par(t1, st)));
-                }
-            }
-            TNode::Stm(s) => out.push(self.step_stmt(p, a, s)),
-        }
-    }
-
-    /// Rules (7)–(14): the unique step of `⟨s⟩`, mirroring
-    /// [`crate::step::step_stmt`]. Derived statements (while-unroll,
-    /// call-inline, spawned bodies) are memoized so each concatenation is
-    /// built and hashed once per distinct source statement.
-    fn step_stmt(&self, p: &Program, a: ArrayId, s: StmtId) -> (ArrayId, TreeId) {
-        let stmt = self.stmt(s);
-        let head = stmt.head();
-        let cont = match self.stmt_tail(s) {
-            Some(k) => self.stm(k),
-            None => DONE,
-        };
-        match &head.kind {
-            InstrKind::Skip => (a, cont),
-            InstrKind::Assign { idx, expr } => {
-                let cells = self.cells(a);
-                let v = crate::state::eval_cells(cells, expr);
-                let mut next = cells.to_vec();
-                next[*idx] = v;
-                (self.intern_array(next), cont)
-            }
-            InstrKind::While { idx, body } => {
-                if self.cells(a)[*idx] == 0 {
-                    (a, cont)
-                } else {
-                    // ⟨s_body . s⟩: memoized by the source statement id.
-                    let unrolled = self.derived_stmt(s, || body.clone().seq(self.stmt(s).clone()));
-                    (a, self.stm(unrolled))
-                }
-            }
-            InstrKind::Async { body } => {
-                let spawned = self.spawned_stmt(head.label, body);
-                (a, self.par(self.stm(spawned), cont))
-            }
-            InstrKind::Finish { body } => {
-                let spawned = self.spawned_stmt(head.label, body);
-                (a, self.seq(self.stm(spawned), cont))
-            }
-            InstrKind::Call { callee } => {
-                let unrolled = self.derived_stmt(s, || {
-                    let body = p.body(*callee).clone();
-                    match self.stmt(s).tail() {
-                        Some(k) => body.seq(k),
-                        None => body,
-                    }
-                });
-                (a, self.stm(unrolled))
-            }
+    /// A fresh [`Stepper`] over this interner, with empty caches. Each
+    /// worker owns one; its lifetime ties it to this interner.
+    pub fn stepper(&self) -> Stepper<'_> {
+        Stepper {
+            it: self,
+            nodes: Cache::new(),
+            assigns: Cache::new(),
         }
     }
 
@@ -577,78 +512,91 @@ impl Interner {
 
     // -- parallel(T) --------------------------------------------------------
 
-    /// `∪ parallel(T)` over a set of distinct interned trees, with
-    /// `FTlabels` memoized per tree id and already-crossed subtrees
-    /// skipped — the interned counterpart of folding
-    /// [`crate::parallel::parallel`] over visited states.
-    pub fn parallel_of_trees(
-        &self,
-        trees: impl IntoIterator<Item = TreeId>,
-    ) -> BTreeSet<LabelPair> {
-        let mut out = BTreeSet::new();
-        let mut ft: HashMap<TreeId, Rc<BTreeSet<Label>>> = HashMap::new();
-        let mut seen: HashSet<TreeId> = HashSet::new();
-        for t in trees {
-            self.collect_parallel(t, &mut ft, &mut seen, &mut out);
+    /// `∪ parallel(T)` over a set of interned trees — the interned
+    /// counterpart of folding [`crate::parallel::parallel`] over visited
+    /// states, on bit rows.
+    ///
+    /// `parallel(T)` is the union, over the `∥` nodes reachable from `T`
+    /// through `▷`-left and both `∥` children, of
+    /// `symcross(FTlabels(T₁), FTlabels(T₂))`. Children are interned
+    /// before their parents, so their ids are smaller: one descending
+    /// sweep closes `trees` under those edges, and one ascending sweep
+    /// builds each reached tree's `FTlabels` row (equations 33–36) from
+    /// its children's and crosses every `∥` node once into a label ×
+    /// label bit matrix, which becomes the pair set at the end.
+    pub fn parallel_of_trees(&self, trees: TreeBits) -> BTreeSet<LabelPair> {
+        let n = self.counts().1;
+        let mut seen = trees.0;
+        seen.resize(n.div_ceil(64), 0);
+        let mut labels = 0;
+        for w in (0..seen.len()).rev() {
+            let mut todo = seen[w];
+            while todo != 0 {
+                let b = 63 - todo.leading_zeros();
+                todo &= !(1 << b);
+                match self.node(TreeId(w as u32 * 64 + b)) {
+                    TNode::Done => {}
+                    TNode::Stm(s) => labels = labels.max(self.stmt(s).head().label.index() + 1),
+                    TNode::Seq(t1, _) => set_bit(&mut seen, t1.0),
+                    TNode::Par(t1, t2) => {
+                        set_bit(&mut seen, t1.0);
+                        set_bit(&mut seen, t2.0);
+                    }
+                }
+                // A child in this word lies below `b` and is still to do.
+                todo |= seen[w] & ((1 << b) - 1);
+            }
         }
-        out
-    }
 
-    fn collect_parallel(
-        &self,
-        t: TreeId,
-        ft: &mut HashMap<TreeId, Rc<BTreeSet<Label>>>,
-        seen: &mut HashSet<TreeId>,
-        out: &mut BTreeSet<LabelPair>,
-    ) {
-        if !seen.insert(t) {
-            return;
-        }
-        match self.node(t) {
-            TNode::Done | TNode::Stm(_) => {}
-            // parallel(T₁ ▷ T₂) = parallel(T₁).
-            TNode::Seq(t1, _) => self.collect_parallel(t1, ft, seen, out),
-            TNode::Par(t1, t2) => {
-                self.collect_parallel(t1, ft, seen, out);
-                self.collect_parallel(t2, ft, seen, out);
-                let l1 = self.ftlabels_memo(t1, ft);
-                let l2 = self.ftlabels_memo(t2, ft);
-                for &a in l1.iter() {
-                    for &b in l2.iter() {
-                        out.insert(pair(a, b));
+        let lw = labels.div_ceil(64);
+        // Rows of unreached ids stay zero and, in a zeroed allocation,
+        // mostly untouched.
+        let mut ft = vec![0u64; n * lw];
+        let mut cross = vec![0u64; labels * lw];
+        for (w, &word) in seen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let t = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let row = t * lw;
+                match self.node(TreeId(t as u32)) {
+                    TNode::Done => {}
+                    TNode::Stm(s) => {
+                        let l = self.stmt(s).head().label.index();
+                        ft[row + l / 64] |= 1 << (l % 64);
+                    }
+                    // FTlabels(T₁ ▷ T₂) = FTlabels(T₁): the right side is
+                    // blocked.
+                    TNode::Seq(t1, _) => {
+                        let r1 = t1.0 as usize * lw;
+                        ft.copy_within(r1..r1 + lw, row);
+                    }
+                    TNode::Par(t1, t2) => {
+                        let (r1, r2) = (t1.0 as usize * lw, t2.0 as usize * lw);
+                        for i in 0..lw {
+                            ft[row + i] = ft[r1 + i] | ft[r2 + i];
+                        }
+                        for (i, &word) in ft[r1..r1 + lw].iter().enumerate() {
+                            let mut ls = word;
+                            while ls != 0 {
+                                let l = i * 64 + ls.trailing_zeros() as usize;
+                                ls &= ls - 1;
+                                for j in 0..lw {
+                                    cross[l * lw + j] |= ft[r2 + j];
+                                }
+                            }
+                        }
                     }
                 }
             }
         }
-    }
 
-    /// `FTlabels(T)` memoized by tree id (equations 33–36).
-    fn ftlabels_memo(
-        &self,
-        t: TreeId,
-        memo: &mut HashMap<TreeId, Rc<BTreeSet<Label>>>,
-    ) -> Rc<BTreeSet<Label>> {
-        if let Some(s) = memo.get(&t) {
-            return Rc::clone(s);
-        }
-        let set = match self.node(t) {
-            TNode::Done => BTreeSet::new(),
-            TNode::Stm(s) => {
-                let mut one = BTreeSet::new();
-                one.insert(self.stmt(s).head().label);
-                one
-            }
-            // FTlabels(T₁ ▷ T₂) = FTlabels(T₁): the right side is blocked.
-            TNode::Seq(t1, _) => (*self.ftlabels_memo(t1, memo)).clone(),
-            TNode::Par(t1, t2) => {
-                let mut l = (*self.ftlabels_memo(t1, memo)).clone();
-                l.extend(self.ftlabels_memo(t2, memo).iter().copied());
-                l
-            }
-        };
-        let rc = Rc::new(set);
-        memo.insert(t, Rc::clone(&rc));
-        rc
+        let has = |a: usize, b: usize| cross[a * lw + b / 64] >> (b % 64) & 1 == 1;
+        (0..labels)
+            .flat_map(|a| (a..labels).map(move |b| (a, b)))
+            .filter(|&(a, b)| has(a, b) || has(b, a))
+            .map(|(a, b)| (Label(a as u32), Label(b as u32)))
+            .collect()
     }
 
     /// Renders an interned state exactly like the cloned explorer renders
@@ -677,6 +625,295 @@ impl std::fmt::Debug for Interner {
             .field("trees", &t)
             .field("arrays", &a)
             .finish()
+    }
+}
+
+/// A direct-mapped cache from packed `u64` keys to ids. A miss
+/// overwrites whatever the slot held; a key that cannot occur marks an
+/// empty slot (ids stay below 2^28, so no packed key is all ones).
+struct Cache {
+    slots: Box<[(u64, u32)]>,
+}
+
+impl Cache {
+    const EMPTY: u64 = u64::MAX;
+
+    fn new() -> Cache {
+        Cache::with_slots(1 << CACHE_BITS)
+    }
+
+    /// `slots` must be a power of two; tests shrink it to force
+    /// collisions.
+    fn with_slots(slots: usize) -> Cache {
+        Cache {
+            slots: vec![(Cache::EMPTY, 0); slots].into_boxed_slice(),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, key: u64) -> usize {
+        spread(key, CACHE_BITS) & (self.slots.len() - 1)
+    }
+
+    #[inline]
+    fn get(&self, key: u64) -> Option<u32> {
+        let (k, id) = self.slots[self.slot(key)];
+        (k == key).then_some(id)
+    }
+
+    #[inline]
+    fn put(&mut self, key: u64, id: u32) {
+        let i = self.slot(key);
+        self.slots[i] = (key, id);
+    }
+}
+
+/// One worker's successor enumerator over a shared [`Interner`], obtained
+/// from [`Interner::stepper`].
+///
+/// It caches raw tree nodes and assignment results per worker (see the
+/// module docs): a hit on `T₁ ∥ T₂` skips the structural comparison and
+/// the shard lock, and a hit on an assignment skips evaluating it,
+/// copying the cells and hashing them. Ids and enumeration order are
+/// exactly the uncached ones.
+pub struct Stepper<'i> {
+    it: &'i Interner,
+    /// `pack(tag, a, b)` of a requested node → its interned id (the
+    /// canonical one for `∥`).
+    nodes: Cache,
+    /// `array id << 32 | assignment label` → the array after it.
+    assigns: Cache,
+}
+
+impl<'i> Stepper<'i> {
+    fn node(&mut self, tag: u64, a: u32, b: u32) -> TreeId {
+        let key = pack(tag, a, b);
+        if let Some(id) = self.nodes.get(key) {
+            return TreeId(id);
+        }
+        let id = if tag == TAG_PAR {
+            self.it.par(TreeId(a), TreeId(b))
+        } else {
+            self.it.intern_node(key)
+        };
+        self.nodes.put(key, id.0);
+        id
+    }
+
+    fn stm(&mut self, s: StmtId) -> TreeId {
+        self.node(TAG_STM, s.0, 0)
+    }
+
+    fn seq(&mut self, a: TreeId, b: TreeId) -> TreeId {
+        self.node(TAG_SEQ, a.0, b.0)
+    }
+
+    /// `T₁ ∥ T₂`, canonical when the interner is.
+    fn par(&mut self, a: TreeId, b: TreeId) -> TreeId {
+        self.node(TAG_PAR, a.0, b.0)
+    }
+
+    /// Appends all `(A', T')` with `(p, A, T) → (p, A', T')` to `out` —
+    /// rules (1)–(14) over interned ids, mirroring
+    /// [`crate::step::successors`] and its order, with structural sharing
+    /// instead of deep clones (and canonical `∥` re-assembly when the
+    /// interner is canonical). A sub-step's successors are appended and
+    /// then rewrapped in place.
+    pub fn successors(
+        &mut self,
+        p: &Program,
+        a: ArrayId,
+        t: TreeId,
+        out: &mut Vec<(ArrayId, TreeId)>,
+    ) {
+        match self.it.node(t) {
+            TNode::Done => {}
+            TNode::Seq(t1, t2) => {
+                if t1 == DONE {
+                    // Rule (1): √ ▷ T₂ → T₂.
+                    out.push((a, t2));
+                } else {
+                    // Rule (2): step inside T₁.
+                    let from = out.len();
+                    self.successors(p, a, t1, out);
+                    for s in &mut out[from..] {
+                        s.1 = self.seq(s.1, t2);
+                    }
+                }
+            }
+            TNode::Par(t1, t2) => {
+                // Rules (3)/(4): eliminate a finished side.
+                if t1 == DONE {
+                    out.push((a, t2));
+                }
+                if t2 == DONE {
+                    out.push((a, t1));
+                }
+                // Rule (5): step inside T₁.
+                let from = out.len();
+                self.successors(p, a, t1, out);
+                for s in &mut out[from..] {
+                    s.1 = self.par(s.1, t2);
+                }
+                // Rule (6): step inside T₂.
+                let from = out.len();
+                self.successors(p, a, t2, out);
+                for s in &mut out[from..] {
+                    s.1 = self.par(t1, s.1);
+                }
+            }
+            TNode::Stm(s) => {
+                let next = self.step_stmt(p, a, s);
+                out.push(next);
+            }
+        }
+    }
+
+    /// Rules (7)–(14): the unique step of `⟨s⟩`, mirroring
+    /// [`crate::step::step_stmt`]. Derived statements (while-unroll,
+    /// call-inline, spawned bodies) are memoized in the interner, so each
+    /// concatenation is built and hashed once per distinct source
+    /// statement.
+    fn step_stmt(&mut self, p: &Program, a: ArrayId, s: StmtId) -> (ArrayId, TreeId) {
+        let it = self.it;
+        let head = it.stmt(s).head();
+        let cont = match it.stmt_tail(s) {
+            Some(k) => self.stm(k),
+            None => DONE,
+        };
+        match &head.kind {
+            InstrKind::Skip => (a, cont),
+            InstrKind::Assign { idx, expr } => {
+                // The label names the instruction, so it fixes `idx` and
+                // `expr`.
+                let key = (u64::from(a.0) << 32) | u64::from(head.label.0);
+                if let Some(next) = self.assigns.get(key) {
+                    return (ArrayId(next), cont);
+                }
+                let cells = it.cells(a);
+                let v = crate::state::eval_cells(cells, expr);
+                let mut next = cells.to_vec();
+                next[*idx] = v;
+                let next = it.intern_array(next);
+                self.assigns.put(key, next.0);
+                (next, cont)
+            }
+            InstrKind::While { idx, body } => {
+                if it.cells(a)[*idx] == 0 {
+                    (a, cont)
+                } else {
+                    // ⟨s_body . s⟩: memoized by the source statement id.
+                    let unrolled = it.derived_stmt(s, || body.clone().seq(it.stmt(s).clone()));
+                    (a, self.stm(unrolled))
+                }
+            }
+            InstrKind::Async { body } => {
+                let spawned = it.spawned_stmt(head.label, body);
+                let t = self.stm(spawned);
+                (a, self.par(t, cont))
+            }
+            InstrKind::Finish { body } => {
+                let spawned = it.spawned_stmt(head.label, body);
+                let t = self.stm(spawned);
+                (a, self.seq(t, cont))
+            }
+            InstrKind::Call { callee } => {
+                let unrolled = it.derived_stmt(s, || {
+                    let body = p.body(*callee).clone();
+                    match it.stmt(s).tail() {
+                        Some(k) => body.seq(k),
+                        None => body,
+                    }
+                });
+                (a, self.stm(unrolled))
+            }
+        }
+    }
+}
+
+/// A set of interned trees: a bitmap indexed by dense [`TreeId`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TreeBits(Vec<u64>);
+
+impl TreeBits {
+    /// An empty set with room for ids below `n` (it grows past them).
+    pub fn with_capacity(n: usize) -> TreeBits {
+        TreeBits(vec![0; n.div_ceil(64)])
+    }
+
+    /// Adds `t`.
+    pub fn insert(&mut self, t: TreeId) {
+        set_bit(&mut self.0, t.0);
+    }
+}
+
+fn set_bit(words: &mut Vec<u64>, i: u32) {
+    let i = i as usize;
+    if words.len() <= i / 64 {
+        words.resize(i / 64 + 1, 0);
+    }
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// [`Interner::render_state`] with each array and each `⟨s⟩` leaf
+/// rendered once, memoized by id. A state's digest is one walk over its
+/// tree that copies the leaves' renderings, with no `Tree` rebuilt and
+/// no statement cloned per state.
+pub(crate) struct StateRenderer<'i> {
+    it: &'i Interner,
+    leaves: IdMap<TreeId, Box<str>>,
+    arrays: IdMap<ArrayId, Box<str>>,
+    /// The last digest's length: states of one run render to similar
+    /// lengths, so the next one reserves that much up front.
+    last_len: usize,
+}
+
+impl<'i> StateRenderer<'i> {
+    /// An empty memo over `it`.
+    pub(crate) fn new(it: &'i Interner) -> StateRenderer<'i> {
+        StateRenderer {
+            it,
+            leaves: IdMap::default(),
+            arrays: IdMap::default(),
+            last_len: 0,
+        }
+    }
+
+    /// Exactly [`Interner::render_state`]`(a, t)`.
+    pub(crate) fn render_state(&mut self, a: ArrayId, t: TreeId) -> String {
+        let it = self.it;
+        let mut out = String::with_capacity(self.last_len + 16);
+        out.push_str(
+            self.arrays
+                .entry(a)
+                .or_insert_with(|| format!("{:?}", it.cells(a)).into()),
+        );
+        out.push_str(" ⊢ ");
+        self.tree(t, &mut out);
+        self.last_len = out.len();
+        out
+    }
+
+    /// Appends `t` as `Display for Tree` renders it.
+    fn tree(&mut self, t: TreeId, out: &mut String) {
+        let (a, b, op) = match self.it.node(t) {
+            TNode::Done => return out.push('√'),
+            TNode::Stm(s) => {
+                let it = self.it;
+                return out.push_str(
+                    self.leaves
+                        .entry(t)
+                        .or_insert_with(|| Tree::Stm(it.stmt(s).clone()).to_string().into()),
+                );
+            }
+            TNode::Seq(a, b) => (a, b, " ▷ "),
+            TNode::Par(a, b) => (a, b, " ∥ "),
+        };
+        out.push('(');
+        self.tree(a, out);
+        out.push_str(op);
+        self.tree(b, out);
+        out.push(')');
     }
 }
 
@@ -768,7 +1005,7 @@ mod tests {
                 let aid = it.intern_array(arr.cells().to_vec());
                 let tid = it.intern_tree(&tree);
                 let mut got = Vec::new();
-                it.successors(&p, aid, tid, &mut got);
+                it.stepper().successors(&p, aid, tid, &mut got);
                 let want = successors(&p, &arr, &tree);
                 assert_eq!(got.len(), want.len(), "{src}");
                 for (w, (ga, gt)) in want.iter().zip(&got) {
@@ -798,7 +1035,101 @@ mod tests {
         )
         .canonical();
         let id = it.intern_tree(&t);
-        assert_eq!(it.parallel_of_trees([id]), parallel(&t));
+        let mut ids = TreeBits::default();
+        ids.insert(id);
+        assert_eq!(it.parallel_of_trees(ids), parallel(&t));
+    }
+
+    /// Every `programs/*.fx10` fixture that parses.
+    fn fixtures() -> Vec<(String, Program)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../programs");
+        let mut out: Vec<(String, Program)> = std::fs::read_dir(&dir)
+            .expect("programs/ directory")
+            .filter_map(|e| {
+                let path = e.ok()?.path();
+                if path.extension()? != "fx10" {
+                    return None;
+                }
+                let src = std::fs::read_to_string(&path).ok()?;
+                let p = Program::parse(&src).ok()?;
+                Some((path.display().to_string(), p))
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        assert!(
+            out.len() >= 10,
+            "expected the fixture set, found {}",
+            out.len()
+        );
+        out
+    }
+
+    /// Breadth-first over the first `limit` states of `p`, asserting that
+    /// `warm` (one stepper for the whole walk) and `cold()` (a new one per
+    /// state) enumerate identical successor ids.
+    fn assert_steppers_agree<'i>(
+        name: &str,
+        p: &Program,
+        it: &'i Interner,
+        mut warm: Stepper<'i>,
+        cold: impl Fn() -> Stepper<'i>,
+        limit: usize,
+    ) {
+        let a0 = it.intern_array(ArrayState::zeros(p).cells().to_vec());
+        let t0 = it.intern_tree(&initial_tree(p));
+        let mut seen = std::collections::HashSet::from([state_key(a0, t0)]);
+        let mut queue = std::collections::VecDeque::from([(a0, t0)]);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        while let Some((a, t)) = queue.pop_front() {
+            got.clear();
+            warm.successors(p, a, t, &mut got);
+            want.clear();
+            cold().successors(p, a, t, &mut want);
+            assert_eq!(got, want, "{name}: successors of {}", it.render_state(a, t));
+            for &(sa, st) in &got {
+                if seen.len() < limit && seen.insert(state_key(sa, st)) {
+                    queue.push_back((sa, st));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_and_fresh_steppers_agree_on_every_fixture() {
+        for (name, p) in fixtures() {
+            for canonical in [true, false] {
+                let it = Interner::new(canonical);
+                assert_steppers_agree(&name, &p, &it, it.stepper(), || it.stepper(), 3_000);
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_cache_slots_are_overwritten_not_confused() {
+        // Two keys that share a slot: the later one evicts the earlier.
+        let mut cache = Cache::new();
+        let k1 = pack(TAG_SEQ, 1, 2);
+        let k2 = (0u32..)
+            .map(|b| pack(TAG_SEQ, 3, b))
+            .find(|&k| cache.slot(k) == cache.slot(k1))
+            .expect("some key shares k1's slot");
+        assert_eq!(cache.get(k1), None);
+        cache.put(k1, 10);
+        assert_eq!(cache.get(k1), Some(10));
+        cache.put(k2, 20);
+        assert_eq!((cache.get(k1), cache.get(k2)), (None, Some(20)));
+
+        // One-slot tables collide on every request, so every step
+        // evicts; the ids must still be the fresh stepper's.
+        for (name, p) in fixtures() {
+            let it = Interner::new(true);
+            let tiny = Stepper {
+                it: &it,
+                nodes: Cache::with_slots(1),
+                assigns: Cache::with_slots(1),
+            };
+            assert_steppers_agree(&name, &p, &it, tiny, || it.stepper(), 3_000);
+        }
     }
 
     #[test]
@@ -822,10 +1153,19 @@ mod tests {
     fn render_matches_cloned_display() {
         let p = Program::parse("def main() { S1; S2; }").unwrap();
         let it = Interner::new(true);
-        let t = Tree::par(Tree::stm(main_stmt(&p)), Tree::Done).canonical();
+        let s = main_stmt(&p);
+        let t = Tree::seq(
+            Tree::par(Tree::stm(s.clone()), Tree::Done),
+            Tree::stm(s.tail().unwrap()),
+        )
+        .canonical();
         let id = it.intern_tree(&t);
         let aid = it.intern_array(vec![0]);
         assert_eq!(it.render_state(aid, id), format!("{:?} ⊢ {}", [0i64], t));
+        let mut memo = StateRenderer::new(&it);
+        for _ in 0..2 {
+            assert_eq!(memo.render_state(aid, id), it.render_state(aid, id));
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 pub mod explore;
+pub mod hash;
 pub mod intern;
 pub mod interp;
 pub mod parallel;
@@ -43,7 +44,7 @@ pub use explore::{
     explore_sampled, settle_outcome, CheckpointSpec, Durability, Exploration, ExploreConfig,
     FrontSample, WatchdogSpec,
 };
-pub use intern::{ArrayId, Interner, StmtId, TreeId};
+pub use intern::{ArrayId, Interner, Stepper, StmtId, TreeBits, TreeId};
 pub use interp::{run, run_budgeted, run_result, RunOutcome, Scheduler};
 pub use parallel::{ftlabels, parallel, LabelPair};
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};

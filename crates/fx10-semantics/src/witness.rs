@@ -29,6 +29,7 @@
 //! The search is deterministic: the witness for a given program, input
 //! and budget is always the same schedule.
 
+use crate::hash::IdSet;
 use crate::intern::{state_key, state_parts, Interner, TNode, TreeId};
 use crate::parallel::{pair, parallel, LabelPair};
 use crate::state::ArrayState;
@@ -36,7 +37,6 @@ use crate::step::{initial_tree, successors};
 
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Fx10Error, Stop};
 use fx10_syntax::{Label, Program};
-use std::collections::HashSet;
 
 /// A concrete interleaving exhibiting a label pair running in parallel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +109,8 @@ pub fn find_witnesses(
         parent: 0,
         choice: 0,
     }];
-    let mut seen: HashSet<u64> = HashSet::from([nodes[0].key]);
+    let mut seen: IdSet<u64> = IdSet::from_iter([nodes[0].key]);
+    let mut stepper = it.stepper();
     let mut succ = Vec::new();
     let mut at = 0;
     let rest = 'search: loop {
@@ -129,7 +130,7 @@ pub fn find_witnesses(
         }
         let (a, t) = state_parts(nodes[at].key);
         succ.clear();
-        it.successors(p, a, t, &mut succ);
+        stepper.successors(p, a, t, &mut succ);
         memo.extend(&it);
         for (choice, &(sa, st)) in succ.iter().enumerate() {
             let key = state_key(sa, st);

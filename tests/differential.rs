@@ -113,6 +113,39 @@ fn normalized_fixtures_agree_too() {
     }
 }
 
+/// More labels than one 64-bit word holds: the `async` bodies and
+/// continuations straddle indices 63/64 and 127/128, so the interned
+/// engine's multi-word `FTlabels` rows and pair matrix meet the cloned
+/// engine's `parallel` fold. No fixture has more than 26 labels.
+#[test]
+fn programs_past_64_labels_agree_across_engines() {
+    let skips = |n: usize| "skip; ".repeat(n);
+    let src = format!(
+        "def main() {{ {}async {{ A; }} B; {}async {{ C; }} D; }}",
+        skips(62),
+        skips(61)
+    );
+    let p = Program::parse(&src).unwrap();
+    for (name, at) in [("A", 63), ("B", 64), ("C", 127), ("D", 128)] {
+        let label = p.labels().lookup(name).expect(name);
+        assert_eq!(label.index(), at, "label {name}");
+    }
+    let want = reference(&p, digest_config());
+    let (a, d) = (
+        p.labels().lookup("A").unwrap(),
+        p.labels().lookup("D").unwrap(),
+    );
+    assert!(
+        want.mhp.contains(&(a, d)),
+        "A runs beside D: {:?}",
+        want.mhp
+    );
+    for jobs in JOBS {
+        let got = parallel(&p, digest_config(), jobs);
+        assert_identical(&format!("129 labels jobs={jobs}"), &want, &got);
+    }
+}
+
 /// Regression pins for the canonical `∥`-symmetry deduplication (the
 /// frontier used to re-visit `T₁ ∥ T₂` and `T₂ ∥ T₁` as distinct
 /// states). The literal space must not be smaller, and the canonical
