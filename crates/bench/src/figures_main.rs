@@ -2,32 +2,15 @@
 //!
 //! ```text
 //! figures [fig5|fig6|fig7|fig8|fig9|example22|precision|all]
-//! figures bench-explore [OUT.json]     # explorer benchmark report
-//! figures bench-absint  [OUT.json]     # abstract-interpreter domain sweep
-//! figures bench-run     [OUT.json]     # runtime: elision vs work stealing
 //! ```
 //!
-//! Each `bench-*` report is printed and written to `OUT.json` (default
-//! `BENCH_<name>.json`); CI uploads them as artifacts.
+//! With no argument it prints `all`. An unknown name exits 2. Only the
+//! time and space columns of Figures 8 and 9 vary between runs;
+//! `tests/golden/` holds the bytes of the timing-free tables. Timings
+//! come from the `benchmark/` package at the repository root.
 //!
-//! Run in release mode for meaningful times:
+//! Run in release mode for meaningful Figure 8/9 times:
 //! `cargo run --release -p fx10-bench --bin figures -- all`
-
-/// Computes a `bench-*` JSON report, prints it, and writes it to the
-/// path given as the second argument (default `BENCH_<name>.json`). A
-/// report that cannot be written exits 1.
-fn write_report(name: &str, report: fn() -> String) {
-    let out = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| format!("BENCH_{name}.json"));
-    let json = report();
-    print!("{json}");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
-}
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -43,9 +26,6 @@ fn main() {
         "fig9" => print(fx10_bench::fig9),
         "example22" => print(fx10_bench::example_2_2_report),
         "precision" => print(|| fx10_bench::precision(200)),
-        "bench-explore" => write_report("explore", fx10_bench::bench_explore_json),
-        "bench-run" => write_report("run", fx10_bench::bench_run_json),
-        "bench-absint" => write_report("absint", fx10_bench::bench_absint_json),
         "all" => {
             for f in [
                 fx10_bench::fig5 as fn() -> String,
@@ -60,10 +40,7 @@ fn main() {
             }
         }
         other => {
-            eprintln!(
-                "unknown figure `{other}`; expected fig5..fig9, example22, precision, all, \
-                 bench-explore, bench-absint or bench-run"
-            );
+            eprintln!("unknown figure `{other}`; expected fig5..fig9, example22, precision or all");
             std::process::exit(2);
         }
     }

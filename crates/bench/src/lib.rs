@@ -10,12 +10,16 @@
 //!   pairs with self/same/diff categories (Figure 8);
 //! - [`fig9`] — context-sensitive vs context-insensitive on mg and plasma
 //!   (Figure 9);
-//! - [`example_2_2_report`] — the §2.2 / §7 walkthrough.
+//! - [`example_2_2_report`] — the §2.2 / §7 walkthrough;
+//! - [`precision`] — the §8 precision study: static vs exact dynamic MHP,
+//!   plus the pairs each abstract domain prunes as infeasible.
 //!
 //! Each function returns the formatted table with the paper's numbers
 //! alongside ours; the `figures` binary prints them, and EXPERIMENTS.md
-//! records a captured run. Criterion benches (in `benches/`) measure the
-//! same pipelines under a statistics-grade harness.
+//! records a captured run. Only the time and space columns of Figures 8
+//! and 9 vary between runs; `tests/golden/` pins the timing-free tables
+//! byte for byte. Timing is not this crate's job: the `benchmark/`
+//! package at the repository root measures the same pipelines.
 
 use fx10_core::analysis::SolverKind;
 use fx10_core::Mode;
@@ -140,42 +144,6 @@ pub fn fig7() -> String {
     out
 }
 
-/// One measured Figure 8 row.
-pub struct Fig8Row {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Measured analysis time (ms).
-    pub time_ms: f64,
-    /// Measured solved-set footprint (MB).
-    pub space_mb: f64,
-    /// Measured iterations: Slabels, level-1, level-2.
-    pub iters: [usize; 3],
-    /// Measured async-body pairs: total, self, same, diff.
-    pub pairs: [usize; 4],
-}
-
-/// Measures one benchmark under CS.
-pub fn fig8_row(bm: &Benchmark) -> Fig8Row {
-    let a = run_cs(bm);
-    let rep = async_pairs_condensed(&a);
-    Fig8Row {
-        name: bm.spec.name,
-        time_ms: a.stats.millis,
-        space_mb: a.stats.bytes as f64 / 1e6,
-        iters: [
-            a.stats.slabels_passes,
-            a.stats.level1_passes,
-            a.stats.level2_passes,
-        ],
-        pairs: [
-            rep.total(),
-            rep.self_pairs,
-            rep.same_method,
-            rep.diff_method,
-        ],
-    }
-}
-
 /// Figure 8: type-inference measurements for all 13 benchmarks.
 pub fn fig8() -> String {
     let mut out = String::new();
@@ -197,24 +165,25 @@ pub fn fig8() -> String {
         "[paper t/s/s/d]"
     );
     for bm in all_benchmarks() {
-        let r = fig8_row(&bm);
+        let a = run_cs(&bm);
+        let rep = async_pairs_condensed(&a);
         let paper = bm.spec.fig8;
         let _ = writeln!(
             out,
             "{:<12} {:>9.1} {:>9.2} | {:>4}/{:>2}/{:>2}    {:>6}/{:>2}/{:>2}    | {:>5}/{}/{}/{} {:>10}/{}/{}/{}",
-            r.name,
-            r.time_ms,
-            r.space_mb,
-            r.iters[0],
-            r.iters[1],
-            r.iters[2],
+            bm.spec.name,
+            a.stats.millis,
+            a.stats.bytes as f64 / 1e6,
+            a.stats.slabels_passes,
+            a.stats.level1_passes,
+            a.stats.level2_passes,
             paper.iters[0],
             paper.iters[1],
             paper.iters[2],
-            r.pairs[0],
-            r.pairs[1],
-            r.pairs[2],
-            r.pairs[3],
+            rep.total(),
+            rep.self_pairs,
+            rep.same_method,
+            rep.diff_method,
             paper.pairs[0],
             paper.pairs[1],
             paper.pairs[2],
@@ -365,13 +334,12 @@ pub fn precision(seeds: u64) -> String {
         out,
         "\nrandom programs: {counted} fully explored; {exact} exactly precise;\n         {total_dynamic} dynamic pairs inside {total_static} static pairs\n         (every false positive stems from the §8 loop-runs-<2 pattern —\n         the paper found none on its benchmarks and identified this as\n         the one source)"
     );
+    out.push_str(&absint_sweep());
     out
 }
 
-/// A fan-out stress program: `finish { async {S0;T0;} … async {Sn;Tn;} } K;`.
-/// Each extra activity multiplies the interleaving space by ~3, so this is
-/// the scaling fixture for the explorer benchmarks.
-pub fn fanout(width: usize) -> fx10_syntax::Program {
+/// A fan-out program: `finish { async {S0;T0;} … async {Sn;Tn;} } K;`.
+fn fanout(width: usize) -> fx10_syntax::Program {
     let mut body = String::new();
     for i in 0..width {
         body.push_str(&format!("async {{ S{i}; T{i}; }}\n"));
@@ -380,302 +348,17 @@ pub fn fanout(width: usize) -> fx10_syntax::Program {
         .expect("fanout parses")
 }
 
-/// One measured explorer configuration in the `BENCH_explore.json` report.
-pub struct ExploreBenchRow {
-    /// Engine label (`cloned-seq-seed`, `cloned-seq`, `interned`).
-    pub engine: &'static str,
-    /// Worker count (1 for the sequential engines).
-    pub jobs: usize,
-    /// States visited (differs between seed-literal and canonical dedup).
-    pub visited: usize,
-    /// Median wall-clock of three timed runs, in milliseconds.
-    pub millis: f64,
-}
-
-fn median_millis(mut run: impl FnMut() -> usize) -> (usize, f64) {
-    let visited = run(); // warm-up, and the row's state count
-    let mut samples: Vec<f64> = (0..3)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            std::hint::black_box(run());
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    (visited, samples[1])
-}
-
-/// Benchmarks the seed-style sequential cloned explorer against the
-/// interned work-stealing engine at several worker counts, on one
-/// fixture. Row order: seed-literal cloned, canonical cloned, then
-/// interned at each of `jobs`.
-pub fn bench_explore_fixture(p: &fx10_syntax::Program, jobs: &[usize]) -> Vec<ExploreBenchRow> {
-    use fx10_robust::{Budget, CancelToken, FaultPlan};
-    use fx10_semantics::{explore, explore_parallel_durable, Durability, ExploreConfig};
-    let seed_config = ExploreConfig {
-        canonical_dedup: false,
-        ..ExploreConfig::default()
-    };
-    let mut rows = Vec::new();
-    let (visited, millis) = median_millis(|| explore(p, &[], seed_config).visited);
-    rows.push(ExploreBenchRow {
-        engine: "cloned-seq-seed",
-        jobs: 1,
-        visited,
-        millis,
-    });
-    let (visited, millis) = median_millis(|| explore(p, &[], ExploreConfig::default()).visited);
-    rows.push(ExploreBenchRow {
-        engine: "cloned-seq",
-        jobs: 1,
-        visited,
-        millis,
-    });
-    for &j in jobs {
-        let (visited, millis) = median_millis(|| {
-            explore_parallel_durable(
-                p,
-                &[],
-                ExploreConfig::default(),
-                j,
-                Budget::unlimited(),
-                &CancelToken::new(),
-                &FaultPlan::none(),
-                Durability::default(),
-            )
-            .expect("an unlimited, uncancelled exploration cannot fail")
-            .visited
-        });
-        rows.push(ExploreBenchRow {
-            engine: "interned",
-            jobs: j,
-            visited,
-            millis,
-        });
-    }
-    rows
-}
-
-/// The `BENCH_explore.json` report: sequential-vs-parallel and
-/// clone-vs-intern on the paper examples plus fan-out stress fixtures.
-/// The headline `speedup_interned_jobs4_vs_seed` field is measured on the
-/// largest fixture (the PR's acceptance bar is ≥ 2x).
-pub fn bench_explore_json() -> String {
-    let fixtures: Vec<(&str, fx10_syntax::Program)> = vec![
-        ("example_2_1", fx10_syntax::examples::example_2_1()),
-        ("same_category", fx10_syntax::examples::same_category()),
-        ("fanout5", fanout(5)),
-        ("fanout6", fanout(6)),
-    ];
-    let jobs = [1usize, 2, 4];
-    let mut out = String::new();
-    out.push_str("{\n  \"fixtures\": [\n");
-    let mut headline = 0.0f64;
-    for (i, (name, p)) in fixtures.iter().enumerate() {
-        let rows = bench_explore_fixture(p, &jobs);
-        let seed_ms = rows[0].millis;
-        let jobs4_ms = rows
-            .iter()
-            .find(|r| r.engine == "interned" && r.jobs == 4)
-            .map(|r| r.millis)
-            .unwrap_or(f64::INFINITY);
-        let speedup = seed_ms / jobs4_ms;
-        if i + 1 == fixtures.len() {
-            headline = speedup;
-        }
-        let _ = writeln!(out, "    {{\n      \"name\": \"{name}\",");
-        let _ = writeln!(out, "      \"rows\": [");
-        for (j, r) in rows.iter().enumerate() {
-            let comma = if j + 1 == rows.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "        {{\"engine\": \"{}\", \"jobs\": {}, \"visited\": {}, \"millis\": {:.3}}}{comma}",
-                r.engine, r.jobs, r.visited, r.millis
-            );
-        }
-        let _ = writeln!(out, "      ],");
-        let _ = writeln!(
-            out,
-            "      \"speedup_interned_jobs4_vs_seed\": {speedup:.2}"
-        );
-        let comma = if i + 1 == fixtures.len() { "" } else { "," };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"largest_fixture_speedup_interned_jobs4_vs_seed\": {headline:.2}"
-    );
-    out.push_str("}\n");
-    out
-}
-
-/// A straight-line fanout workload for the runtime benchmark: `width`
-/// asyncs under one finish, each performing `reps` increments of its own
-/// cell. Race-free by construction, so every engine must produce the
-/// same array and step count — the benchmark measures scheduling
-/// overhead and speedup, not divergence.
-fn runtime_fanout(width: usize, reps: usize) -> fx10_syntax::Program {
-    let mut src = String::from("def main() { finish { ");
-    for w in 0..width {
-        src.push_str("async { ");
-        for _ in 0..reps {
-            let _ = write!(src, "a[{w}] = a[{w}] + 1; ");
-        }
-        src.push_str("} ");
-    }
-    src.push_str("} }");
-    fx10_syntax::Program::parse(&src).expect("runtime fanout parses")
-}
-
-/// A grid workload: `rows` sequential finish barriers, each fanning out
-/// `cols` asyncs of `reps` increments on distinct cells — alternating
-/// parallel bursts and joins, the shape work-stealing runtimes find
-/// hardest relative to a serial loop.
-fn runtime_grid(rows: usize, cols: usize, reps: usize) -> fx10_syntax::Program {
-    let mut src = String::from("def main() { ");
-    for _ in 0..rows {
-        src.push_str("finish { ");
-        for c in 0..cols {
-            src.push_str("async { ");
-            for _ in 0..reps {
-                let _ = write!(src, "a[{c}] = a[{c}] + 1; ");
-            }
-            src.push_str("} ");
-        }
-        src.push_str("} ");
-    }
-    src.push('}');
-    fx10_syntax::Program::parse(&src).expect("runtime grid parses")
-}
-
-/// One measured engine configuration in the `BENCH_run.json` report.
-pub struct RunBenchRow {
-    /// Engine label (`elide` or `steal`).
-    pub engine: &'static str,
-    /// Worker count (1 for the serial elider).
-    pub jobs: usize,
-    /// Executed instructions (identical across engines on these
-    /// race-free workloads — asserted, not assumed).
-    pub steps: u64,
-    /// Median wall-clock of three timed runs, in milliseconds.
-    pub millis: f64,
-}
-
-/// Benchmarks serial sequential elision against the work-stealing
-/// runtime at several worker counts on one workload.
-pub fn bench_run_fixture(p: &fx10_syntax::Program, jobs: &[usize]) -> Vec<RunBenchRow> {
-    use fx10_robust::{Budget, CancelToken, FaultPlan};
-    use fx10_runtime::{run_elision, run_parallel, RtConfig};
-    let mut rows = Vec::new();
-    let elide = || {
-        run_elision(p, &[], u64::MAX, Budget::unlimited(), &CancelToken::new())
-            .expect("elision succeeds")
-    };
-    let reference = elide();
-    assert!(reference.completed, "bench workload must complete");
-    let (_, millis) = median_millis(|| elide().steps as usize);
-    rows.push(RunBenchRow {
-        engine: "elide",
-        jobs: 1,
-        steps: reference.steps,
-        millis,
-    });
-    for &j in jobs {
-        let cfg = RtConfig {
-            jobs: j,
-            seed: 0,
-            grain: 0,
-            max_steps: u64::MAX,
-        };
-        let par = || {
-            run_parallel(
-                p,
-                &[],
-                &cfg,
-                Budget::unlimited(),
-                &CancelToken::new(),
-                &FaultPlan::none(),
-            )
-            .expect("parallel run succeeds")
-        };
-        let check = par();
-        assert_eq!(
-            check.array, reference.array,
-            "race-free bench workload diverged from elision at jobs={j}"
-        );
-        let (_, millis) = median_millis(|| par().steps as usize);
-        rows.push(RunBenchRow {
-            engine: "steal",
-            jobs: j,
-            steps: check.steps,
-            millis,
-        });
-    }
-    rows
-}
-
-/// The `BENCH_run.json` report: sequential elision vs the work-stealing
-/// runtime (jobs 1/2/4/8) on straight-line fanout and grid workloads.
-/// Each fixture's parallel arrays are asserted byte-identical to the
-/// serial elision before timing — the benchmark doubles as a coarse
-/// elision-oracle smoke.
-pub fn bench_run_json() -> String {
-    let fixtures: Vec<(&str, fx10_syntax::Program)> = vec![
-        ("fanout8x400", runtime_fanout(8, 400)),
-        ("fanout16x200", runtime_fanout(16, 200)),
-        ("grid4x4x200", runtime_grid(4, 4, 200)),
-    ];
-    let jobs = [1usize, 2, 4, 8];
-    let mut out = String::new();
-    out.push_str("{\n  \"fixtures\": [\n");
-    for (i, (name, p)) in fixtures.iter().enumerate() {
-        let rows = bench_run_fixture(p, &jobs);
-        let elide_ms = rows[0].millis;
-        let jobs4_ms = rows
-            .iter()
-            .find(|r| r.engine == "steal" && r.jobs == 4)
-            .map(|r| r.millis)
-            .unwrap_or(f64::INFINITY);
-        let _ = writeln!(out, "    {{\n      \"name\": \"{name}\",");
-        let _ = writeln!(out, "      \"rows\": [");
-        for (j, r) in rows.iter().enumerate() {
-            let comma = if j + 1 == rows.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "        {{\"engine\": \"{}\", \"jobs\": {}, \"steps\": {}, \"millis\": {:.3}}}{comma}",
-                r.engine, r.jobs, r.steps, r.millis
-            );
-        }
-        let _ = writeln!(out, "      ],");
-        let _ = writeln!(
-            out,
-            "      \"speedup_steal_jobs4_vs_elide\": {:.2}",
-            elide_ms / jobs4_ms
-        );
-        let comma = if i + 1 == fixtures.len() { "" } else { "," };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The `BENCH_absint.json` report: a domain sweep (const / interval /
-/// parity) of the abstract interpreter over the chaos fixture, the paper
-/// examples, a fan-out stress program and a few random-suite seeds. Each
-/// row records the fixpoint cost (median of three timed runs), the
-/// convergence stats, and the oracle's precision as pruned MHP pairs.
-pub fn bench_absint_json() -> String {
+/// The value-analysis half of the precision study: each abstract domain
+/// (const / interval / parity) of the guard-feasibility oracle on the
+/// paper examples, a fan-out program, the chaos fixture and three random
+/// programs. A row gives the fixpoint's rounds, whether widening capped
+/// it, the labels it proves reachable, and the static MHP pairs it
+/// prunes as infeasible.
+fn absint_sweep() -> String {
     use fx10_absint::{Domain, FeasibilityOracle};
     use fx10_suite::{random_fx10, RandomConfig};
 
-    let chaos_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../programs/chaos_wide.fx10"
-    );
-    let chaos = std::fs::read_to_string(chaos_path)
-        .ok()
-        .and_then(|s| fx10_syntax::Program::parse(&s).ok());
+    let chaos = include_str!("../../../programs/chaos_wide.fx10");
     let mut fixtures: Vec<(String, fx10_syntax::Program)> = vec![
         ("example_2_1".into(), fx10_syntax::examples::example_2_1()),
         (
@@ -683,10 +366,11 @@ pub fn bench_absint_json() -> String {
             fx10_syntax::examples::same_category(),
         ),
         ("fanout5".into(), fanout(5)),
+        (
+            "chaos_wide".into(),
+            fx10_syntax::Program::parse(chaos).expect("chaos_wide parses"),
+        ),
     ];
-    if let Some(p) = chaos {
-        fixtures.push(("chaos_wide".into(), p));
-    }
     for seed in [11u64, 42, 77] {
         let cfg = RandomConfig {
             methods: 3,
@@ -698,42 +382,33 @@ pub fn bench_absint_json() -> String {
     }
 
     let mut out = String::new();
-    out.push_str("{\n  \"fixtures\": [\n");
-    for (i, (name, p)) in fixtures.iter().enumerate() {
+    let _ = writeln!(
+        out,
+        "\nValue-analysis pruning of the static MHP pairs, per abstract domain\n"
+    );
+    let _ = writeln!(
+        out,
+        "{:<16} {:>6} {:>5} | {:<8} {:>6} {:>6} {:>9} {:>6}",
+        "program", "labels", "mhp", "domain", "rounds", "capped", "reachable", "pruned"
+    );
+    for (name, p) in &fixtures {
         let cs = fx10_core::analyze(p);
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{name}\",");
-        let _ = writeln!(out, "      \"labels\": {},", p.label_count());
-        let _ = writeln!(out, "      \"mhp_pairs\": {},", cs.mhp().len());
-        out.push_str("      \"domains\": [\n");
-        for (j, &d) in Domain::ALL.iter().enumerate() {
-            let (reachable, millis) = median_millis(|| {
-                FeasibilityOracle::build(p, &cs, d, None)
-                    .facts
-                    .reachable_count()
-            });
+        for d in Domain::ALL {
             let oracle = FeasibilityOracle::build(p, &cs, d, None);
-            let report = oracle.prune(&cs);
-            let _ = write!(
+            let _ = writeln!(
                 out,
-                "        {{\"domain\": \"{d}\", \"millis\": {millis:.3}, \
-                 \"rounds\": {}, \"capped\": {}, \"reachable\": {reachable}, \
-                 \"pruned_pairs\": {}}}",
+                "{:<16} {:>6} {:>5} | {:<8} {:>6} {:>6} {:>9} {:>6}",
+                name,
+                p.label_count(),
+                cs.mhp().len(),
+                d.name(),
                 oracle.facts.rounds(),
                 oracle.facts.capped(),
-                report.pruned.len()
+                oracle.facts.reachable_count(),
+                oracle.prune(&cs).pruned.len()
             );
-            out.push_str(if j + 1 < Domain::ALL.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
         }
-        out.push_str("      ]\n");
-        let comma = if i + 1 < fixtures.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
     }
-    out.push_str("  ]\n}\n");
     out
 }
 
@@ -766,44 +441,4 @@ pub fn example_2_2_report() -> String {
         ci.may_happen_in_parallel(s3, s4)
     );
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn precision_study_runs() {
-        let t = precision(20);
-        assert!(t.contains("example_2_1"), "{t}");
-        assert!(t.contains("fully explored"), "{t}");
-    }
-
-    #[test]
-    fn fig5_contains_paper_shapes() {
-        let t = fig5();
-        assert!(t.contains("m_S11 = Lcross(S11, r_S11)"), "{t}");
-        assert!(t.contains("(S11, S12)"), "{t}");
-    }
-
-    #[test]
-    fn example_2_2_report_shows_divergence() {
-        let t = example_2_2_report();
-        assert!(t.contains("CS = false, CI = true"), "{t}");
-    }
-
-    #[test]
-    fn explore_bench_rows_cover_both_engines() {
-        let p = fx10_syntax::examples::example_2_1();
-        let rows = bench_explore_fixture(&p, &[1, 2]);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].engine, "cloned-seq-seed");
-        assert_eq!(rows[1].engine, "cloned-seq");
-        assert!(rows[2..].iter().all(|r| r.engine == "interned"));
-        // The seed-literal space is never smaller than the canonical one,
-        // and the interned engine agrees with the canonical cloned one.
-        assert!(rows[0].visited >= rows[1].visited);
-        assert!(rows[2..].iter().all(|r| r.visited == rows[1].visited));
-        assert!(rows.iter().all(|r| r.millis >= 0.0));
-    }
 }

@@ -59,6 +59,8 @@
 //! | 3    | budget exhausted — result partial / inconclusive  |
 //! | 4    | cancelled, or a worker thread panicked or stalled |
 //!
+//! A reader that closes stdout early leaves the exit code unchanged.
+//!
 //! `lint` layers the diagnostic suite from `fx10-lints` on the same
 //! contract: `--deny CODE` exits 1 when any matching finding survives
 //! `--allow` filtering (a denied finding outranks a budget-cut exit 3);
@@ -72,6 +74,7 @@ use fx10_semantics::{
     ExplorerSnapshot, Scheduler, WatchdogSpec,
 };
 use fx10_syntax::Program;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -219,11 +222,53 @@ impl Opts {
     }
 }
 
+/// The report writer: every byte a command prints to stdout goes through
+/// it. The first write error is kept and later writes are dropped, so a
+/// reader that closes the pipe early (`fx10 explore … | head -1`) ends the
+/// report quietly instead of panicking in `println!`.
+struct Report {
+    sink: io::Stdout,
+    error: Option<io::Error>,
+}
+
+impl Report {
+    /// The method `write!`/`writeln!` call.
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            if let Err(e) = self.sink.write_fmt(args) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// Flushes the report. A closed pipe is not an error: the reader
+    /// asked for no more, and the run's own exit code stands. Any other
+    /// write failure is a typed I/O error (exit 1).
+    fn finish(mut self) -> Result<(), Fx10Error> {
+        if self.error.is_none() {
+            self.error = self.sink.flush().err();
+        }
+        match self.error {
+            Some(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(Fx10Error::Io {
+                path: "<stdout>".to_string(),
+                message: e.to_string(),
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// The explorer summary: identical stdout modulo the leading `jobs:`
 /// line, which is what lets the chaos harness diff a resumed run
 /// against an uninterrupted reference.
-fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: bool) {
-    println!(
+fn print_exploration(
+    out: &mut Report,
+    p: &Program,
+    e: &fx10_semantics::Exploration,
+    digest_xor: bool,
+) {
+    writeln!(
+        out,
         "{} state(s) visited{}, {} terminal(s), deadlock-free: {}",
         e.visited,
         match e.exhausted {
@@ -233,9 +278,14 @@ fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: b
         e.terminals,
         e.deadlock_free
     );
-    println!("dynamic MHP pairs ({}):", e.mhp.len());
+    writeln!(out, "dynamic MHP pairs ({}):", e.mhp.len());
     for &(a, b) in &e.mhp {
-        println!("  ({}, {})", p.labels().display(a), p.labels().display(b));
+        writeln!(
+            out,
+            "  ({}, {})",
+            p.labels().display(a),
+            p.labels().display(b)
+        );
     }
     if digest_xor {
         let set = e.state_digests.as_ref();
@@ -245,7 +295,7 @@ fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: b
                 x ^ fx10_robust::snapshot::fnv1a64(d.as_bytes())
             })
         });
-        println!("digest-xor: {xor:016x} over {n} state(s)");
+        writeln!(out, "digest-xor: {xor:016x} over {n} state(s)");
     }
 }
 
@@ -254,25 +304,31 @@ fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: b
 /// and its knobs — so the CI elision oracle can diff a parallel run
 /// against the serial one with `grep -v '^runtime:'` and demand byte
 /// identity for race-free programs.
-fn print_run_report(p: &Program, banner: &str, out: &fx10_runtime::RunReport) {
-    println!("runtime: {banner}");
-    if out.completed {
-        println!("completed in {} steps", out.steps);
-    } else if let Some(e) = out.exhausted {
-        println!("{e} exhausted after {} steps", out.steps);
+fn print_run_report(out: &mut Report, p: &Program, banner: &str, run: &fx10_runtime::RunReport) {
+    writeln!(out, "runtime: {banner}");
+    if run.completed {
+        writeln!(out, "completed in {} steps", run.steps);
+    } else if let Some(e) = run.exhausted {
+        writeln!(out, "{e} exhausted after {} steps", run.steps);
     }
-    println!("a = {:?}", out.array);
-    println!("result a[0] = {}", out.array.first().copied().unwrap_or(0));
-    if out.races.is_empty() {
-        println!("races: none");
+    writeln!(out, "a = {:?}", run.array);
+    writeln!(
+        out,
+        "result a[0] = {}",
+        run.array.first().copied().unwrap_or(0)
+    );
+    if run.races.is_empty() {
+        writeln!(out, "races: none");
     } else {
-        println!(
+        writeln!(
+            out,
             "races: {} race(s) on {} label pair(s):",
-            out.races.len(),
-            out.race_pairs().len()
+            run.races.len(),
+            run.race_pairs().len()
         );
-        for r in &out.races {
-            println!(
+        for r in &run.races {
+            writeln!(
+                out,
                 "  ({}, {}) on a[{}]",
                 p.labels().display(r.pair.0),
                 p.labels().display(r.pair.1),
@@ -713,26 +769,32 @@ impl Verdict {
     }
 }
 
-fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Error> {
+fn run_command(
+    cmd: &str,
+    target: &str,
+    opts: &Opts,
+    out: &mut Report,
+) -> Result<Verdict, Fx10Error> {
     let budget = opts.budget();
     let cancel = CancelToken::new();
     match cmd {
         "parse" => {
             let p = load(target)?;
-            println!(
+            writeln!(
+                out,
                 "{} method(s), {} instruction(s), array length {}",
                 p.method_count(),
                 p.label_count(),
                 p.array_len()
             );
-            print!("{}", fx10_syntax::pretty::program(&p));
+            write!(out, "{}", fx10_syntax::pretty::program(&p));
             Ok(Verdict::Conclusive)
         }
         "run" if opts.elide => {
             let p = load(target)?;
-            let out = fx10_runtime::run_elision(&p, &opts.input, opts.steps, budget, &cancel)?;
-            print_run_report(&p, "sequential elision (serial oracle run)", &out);
-            Ok(Verdict::of(out.exhausted))
+            let run = fx10_runtime::run_elision(&p, &opts.input, opts.steps, budget, &cancel)?;
+            print_run_report(out, &p, "sequential elision (serial oracle run)", &run);
+            Ok(Verdict::of(run.exhausted))
         }
         "run" if opts.use_runtime => {
             let p = load(target)?;
@@ -742,21 +804,22 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 grain: opts.grain,
                 max_steps: opts.steps,
             };
-            let out =
+            let run =
                 fx10_runtime::run_parallel(&p, &opts.input, &cfg, budget, &cancel, &opts.faults())?;
             print_run_report(
+                out,
                 &p,
                 &format!(
                     "work-stealing crew, {} worker(s), schedule seed {}, grain {}",
                     cfg.jobs, cfg.seed, cfg.grain
                 ),
-                &out,
+                &run,
             );
-            Ok(Verdict::of(out.exhausted))
+            Ok(Verdict::of(run.exhausted))
         }
         "run" => {
             let p = load(target)?;
-            let out = run_budgeted(
+            let run = run_budgeted(
                 &p,
                 &opts.input,
                 opts.sched.clone(),
@@ -764,14 +827,14 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 budget,
                 &cancel,
             )?;
-            if out.completed {
-                println!("completed in {} steps", out.steps);
-            } else if let Some(e) = out.exhausted {
-                println!("{e} exhausted after {} steps", out.steps);
+            if run.completed {
+                writeln!(out, "completed in {} steps", run.steps);
+            } else if let Some(e) = run.exhausted {
+                writeln!(out, "{e} exhausted after {} steps", run.steps);
             }
-            println!("a = {:?}", out.array.cells());
-            println!("result a[0] = {}", out.array.result());
-            Ok(Verdict::of(out.exhausted))
+            writeln!(out, "a = {:?}", run.array.cells());
+            writeln!(out, "result a[0] = {}", run.array.result());
+            Ok(Verdict::of(run.exhausted))
         }
         "explore" => {
             let p = load(target)?;
@@ -803,29 +866,31 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     watchdog: Some(opts.watchdog()),
                 },
             )?;
-            println!("jobs: {} (work-stealing interned explorer)", opts.jobs);
-            print_exploration(&p, &e, opts.digest_xor);
+            writeln!(out, "jobs: {} (work-stealing interned explorer)", opts.jobs);
+            print_exploration(out, &p, &e, opts.digest_xor);
             Ok(Verdict::of(e.exhausted))
         }
         "mhp" => {
             let p = load(target)?;
             let a = if opts.fallback_ci && !opts.ci {
-                let out = analyze_with_fallback(&p, opts.solver, budget, budget, &cancel)?;
-                if out.path == AnalysisPath::ContextInsensitiveFallback {
-                    let why = out
+                let fallback = analyze_with_fallback(&p, opts.solver, budget, budget, &cancel)?;
+                if fallback.path == AnalysisPath::ContextInsensitiveFallback {
+                    let why = fallback
                         .cs_exhaustion
                         .map(|e| e.to_string())
                         .unwrap_or_else(|| "budget".to_string());
-                    println!(
+                    writeln!(
+                        out,
                         "context-sensitive analysis exhausted its {why}; \
                          answering with the context-insensitive over-approximation"
                     );
                 }
-                out.analysis
+                fallback.analysis
             } else {
                 analyze_with_budget(&p, opts.mode(), opts.solver, budget, &cancel)?
             };
-            println!(
+            writeln!(
+                out,
                 "{} analysis: {} constraint(s), iterations S/1/2 = {}/{}/{}",
                 match a.mode() {
                     fx10_core::Mode::ContextSensitive => "context-sensitive",
@@ -839,16 +904,16 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 a.stats.level2_passes
             );
             let pairs = a.pairs_named(&p);
-            println!("MHP pairs ({}):", pairs.len());
+            writeln!(out, "MHP pairs ({}):", pairs.len());
             for (x, y) in pairs {
-                println!("  ({x}, {y})");
+                writeln!(out, "  ({x}, {y})");
             }
             let rep = fx10_core::report::async_pairs(&a);
-            print!("{}", fx10_core::report::render_report(&p, &rep));
+            write!(out, "{}", fx10_core::report::render_report(&p, &rep));
             // A fallback analysis that *completed* is conclusive (a sound
             // over-approximation); a budget-cut one is not.
             if let Some(e) = a.exhausted {
-                println!("INCONCLUSIVE ({e} exhausted) — pair set is partial");
+                writeln!(out, "INCONCLUSIVE ({e} exhausted) — pair set is partial");
             }
             Ok(Verdict::of(a.exhausted))
         }
@@ -856,7 +921,7 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             let p = load(target)?;
             let a = analyze_with_budget(&p, opts.mode(), opts.solver, budget, &cancel)?;
             let races = fx10_core::race::detect_races(&p, &a);
-            print!("{}", fx10_core::race::render_races(&p, &races));
+            write!(out, "{}", fx10_core::race::render_races(&p, &races));
             // Value-analysis second opinion on every reported pair: an
             // infeasible pair is called out with its unreachability proof;
             // a surviving pair gets the abstract guard facts a fix would
@@ -870,7 +935,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                         let (x, y) = (r.first.label, r.second.label);
                         if !oracle.pair_feasible(x, y) {
                             let dead = if oracle.label_feasible(x) { y } else { x };
-                            println!(
+                            writeln!(
+                                out,
                                 "value-analysis ({}): ({}, {}) is infeasible — {}",
                                 oracle.facts.domain(),
                                 p.labels().display(x),
@@ -881,7 +947,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                                     .unwrap_or_else(|| "label is unreachable".to_string())
                             );
                         } else {
-                            println!(
+                            writeln!(
+                                out,
                                 "value-analysis ({}): ({}, {}) stays feasible — {}; {}",
                                 oracle.facts.domain(),
                                 p.labels().display(x),
@@ -892,14 +959,15 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                         }
                     }
                 } else {
-                    println!(
+                    writeln!(
+                        out,
                         "value-analysis ({}): inconclusive — no pair was vetted for feasibility",
                         oracle.facts.domain()
                     );
                 }
             }
             if let Some(e) = a.exhausted {
-                println!("INCONCLUSIVE ({e} exhausted) — race report is partial");
+                writeln!(out, "INCONCLUSIVE ({e} exhausted) — race report is partial");
             }
             Ok(Verdict::of(a.exhausted))
         }
@@ -922,7 +990,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 None => "top".to_string(),
             };
             match opts.format {
-                LintFormat::Text => print!(
+                LintFormat::Text => write!(
+                    out,
                     "{}",
                     fx10_absint::render_text(
                         target,
@@ -932,7 +1001,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                         &input_desc
                     )
                 ),
-                LintFormat::Json => print!(
+                LintFormat::Json => write!(
+                    out,
                     "{}",
                     fx10_absint::render_json(
                         target,
@@ -970,9 +1040,9 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 });
             }
             match opts.format {
-                LintFormat::Text => print!("{}", fx10_lints::render_text(target, &report)),
-                LintFormat::Json => print!("{}", fx10_lints::render_json(target, &report)),
-                LintFormat::Sarif => print!("{}", fx10_lints::render_sarif(target, &report)),
+                LintFormat::Text => write!(out, "{}", fx10_lints::render_text(target, &report)),
+                LintFormat::Json => write!(out, "{}", fx10_lints::render_json(target, &report)),
+                LintFormat::Sarif => write!(out, "{}", fx10_lints::render_sarif(target, &report)),
             }
             let denied = report.matching(&opts.deny).count();
             if denied > 0 {
@@ -1003,19 +1073,20 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             };
             let ans = sup.run(&p, &opts.input, &cancel, &opts.faults())?;
             for line in &ans.trace {
-                println!("ladder: {line}");
+                writeln!(out, "ladder: {line}");
             }
-            println!("ladder: answered on rung {}", ans.rung);
+            writeln!(out, "ladder: answered on rung {}", ans.rung);
             if !ans.rung.is_dynamic() {
                 // No dynamic ground truth was obtainable, so Theorem 2
                 // cannot be checked — the static pair set is still a
                 // sound over-approximation, but the verdict is partial.
-                println!(
+                writeln!(
+                    out,
                     "static rung answered with {} pair(s); soundness not checkable \
                      without a dynamic ground truth",
                     ans.pairs.len()
                 );
-                println!("INCONCLUSIVE (dynamic exploration infeasible)");
+                writeln!(out, "INCONCLUSIVE (dynamic exploration infeasible)");
                 return Ok(Verdict::Inconclusive(
                     ans.exhausted.unwrap_or(Exhaustion::States),
                 ));
@@ -1028,18 +1099,20 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 &cancel,
             )?;
             if let Some(x) = a.exhausted {
-                println!("INCONCLUSIVE ({x} exhausted during static analysis)");
+                writeln!(out, "INCONCLUSIVE ({x} exhausted during static analysis)");
                 return Ok(Verdict::Inconclusive(x));
             }
             let soundness = a.check_soundness(ans.pairs.iter());
             for &(x, y) in &soundness.missing {
-                println!(
+                writeln!(
+                    out,
                     "UNSOUND: dynamic pair ({}, {}) not in static MHP",
                     p.labels().display(x),
                     p.labels().display(y)
                 );
             }
-            println!(
+            writeln!(
+                out,
                 "dynamic pairs: {}, static pairs: {}, deadlock-free: {}",
                 ans.pairs.len(),
                 soundness.static_pairs,
@@ -1051,7 +1124,7 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     soundness.missing.len()
                 )));
             }
-            println!("soundness check PASSED (dynamic ⊆ static)");
+            writeln!(out, "soundness check PASSED (dynamic ⊆ static)");
             Ok(Verdict::Conclusive)
         }
         "check" => {
@@ -1084,18 +1157,20 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             // "dynamic pair missing statically" would be a false alarm:
             // report inconclusive instead of unsound.
             if let Some(x) = a.exhausted {
-                println!(
+                writeln!(
+                    out,
                     "dynamic pairs: {} ({} states), static pairs: {} (partial)",
                     e.mhp.len(),
                     e.visited,
                     a.mhp().len()
                 );
-                println!("INCONCLUSIVE ({x} exhausted during static analysis)");
+                writeln!(out, "INCONCLUSIVE ({x} exhausted during static analysis)");
                 return Ok(Verdict::Inconclusive(x));
             }
             let soundness = a.check_soundness(e.mhp.iter());
             for &(x, y) in &soundness.missing {
-                println!(
+                writeln!(
+                    out,
                     "UNSOUND: dynamic pair ({}, {}) not in static MHP",
                     p.labels().display(x),
                     p.labels().display(y)
@@ -1103,7 +1178,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             }
             let missing = soundness.missing.len();
             let static_n = soundness.static_pairs;
-            println!(
+            writeln!(
+                out,
                 "dynamic pairs: {} ({} states{}), static pairs: {}, deadlock-free: {}",
                 e.mhp.len(),
                 e.visited,
@@ -1116,7 +1192,7 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     "{missing} dynamic pair(s) missing statically"
                 )));
             }
-            println!("soundness check PASSED (dynamic ⊆ static)");
+            writeln!(out, "soundness check PASSED (dynamic ⊆ static)");
             // The §8 precision probe: the static overapproximation
             // minus the dynamic underapproximation bounds the false
             // positives. Exact when the exploration completed.
@@ -1127,7 +1203,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 .map(|(x, y)| (p.labels().display(x), p.labels().display(y)))
                 .collect();
             if gap.is_empty() {
-                println!(
+                writeln!(
+                    out,
                     "precision: static == dynamic — zero false positives{}",
                     if e.truncated {
                         " (on the explored prefix)"
@@ -1136,7 +1213,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     }
                 );
             } else {
-                println!(
+                writeln!(
+                    out,
                     "precision gap ({} pair(s) static-only{}):",
                     gap.len(),
                     if e.truncated {
@@ -1146,13 +1224,13 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     }
                 );
                 for (x, y) in gap {
-                    println!("  ({x}, {y})");
+                    writeln!(out, "  ({x}, {y})");
                 }
             }
             // A truncated exploration proved soundness only on the
             // explored prefix: surface that as inconclusive (exit 3).
             if e.truncated {
-                println!("INCONCLUSIVE (state budget exhausted)");
+                writeln!(out, "INCONCLUSIVE (state budget exhausted)");
                 return Ok(Verdict::Inconclusive(
                     e.exhausted.unwrap_or(Exhaustion::States),
                 ));
@@ -1176,13 +1254,15 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 &cancel,
             )?;
             let c = p.node_counts();
-            println!(
+            writeln!(
+                out,
                 "{} nodes ({} methods), asyncs: {:?}",
                 c.total(),
                 c.method,
                 p.async_stats()
             );
-            println!(
+            writeln!(
+                out,
                 "constraints S/1/2 = {}/{}/{}, iterations = {}/{}/{}, {:.1} ms",
                 a.stats.slabels_constraints,
                 a.stats.level1_constraints,
@@ -1193,7 +1273,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 a.stats.millis
             );
             let rep = fx10_frontend::async_pairs_condensed(&a);
-            println!(
+            writeln!(
+                out,
                 "async-body MHP pairs: total={} self={} same={} diff={}",
                 rep.total(),
                 rep.self_pairs,
@@ -1203,7 +1284,7 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             if opts.places {
                 let places = fx10_frontend::PlaceAssignment::compute(&p);
                 let refined = fx10_frontend::same_place_pairs(&a, &places);
-                println!(
+                writeln!(out,
                     "places refinement: {} abstract place(s); {} of {} MHP pairs may contend at one place",
                     places.place_count(),
                     refined.len(),
@@ -1211,7 +1292,7 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 );
             }
             if let Some(e) = a.exhausted {
-                println!("INCONCLUSIVE ({e} exhausted) — pair set is partial");
+                writeln!(out, "INCONCLUSIVE ({e} exhausted) — pair set is partial");
             }
             Ok(Verdict::of(a.exhausted))
         }
@@ -1233,7 +1314,8 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     &cancel,
                 )?;
                 let rep = fx10_frontend::async_pairs_condensed(&a);
-                println!(
+                writeln!(
+                    out,
                     "{:<12} {:>8.1} ms  {:>7.2} MB  iters {}/{}/{}  pairs {}/{}/{}/{}{}",
                     name,
                     a.stats.millis,
@@ -1321,7 +1403,12 @@ fn main() -> ExitCode {
         }
     };
 
-    match run_command(cmd, target, &opts) {
+    let mut out = Report {
+        sink: io::stdout(),
+        error: None,
+    };
+    let result = run_command(cmd, target, &opts, &mut out);
+    match result.and_then(|verdict| out.finish().map(|()| verdict)) {
         Ok(Verdict::Conclusive) => ExitCode::SUCCESS,
         Ok(Verdict::Inconclusive(e)) => {
             eprintln!("inconclusive: {e} exhausted");

@@ -9,6 +9,8 @@
 //! | 2    | usage error, or a corrupt / mismatched snapshot   |
 //! | 3    | budget exhausted — result partial / inconclusive  |
 //! | 4    | cancelled, a worker panicked, or a worker stalled |
+//!
+//! A reader that closes stdout early does not change the code.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -922,5 +924,34 @@ fn chaos_env_hooks_are_rejected_on_run() {
             assert_eq!(code(&out), 2, "{hook} on {argv:?}: {out:?}");
             assert!(stderr(&out).contains(hook), "{hook}: {}", stderr(&out));
         }
+    }
+}
+
+/// A reader that closes the pipe before the report is printed (`fx10 … |
+/// head -1`) ends the report quietly: no panic, and the exit code the
+/// run would have returned anyway.
+#[test]
+fn closed_stdout_keeps_the_exit_code_and_does_not_panic() {
+    let cases: [(&[&str], i32); 2] = [
+        (&["explore", "programs/chaos_wide.fx10", "--jobs", "1"], 0),
+        (
+            &["explore", "programs/example22.fx10", "--budget-states", "2"],
+            3,
+        ),
+    ];
+    for (args, expected) in cases {
+        // The read end is closed before the child starts, so its first
+        // write to stdout already meets a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_fx10"))
+            .current_dir(repo_root())
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(code(&out), expected, "{args:?}: {err}");
     }
 }
