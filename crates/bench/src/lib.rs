@@ -254,7 +254,8 @@ pub fn fig9() -> String {
 /// the analysis' false-positive rate, on the paper's examples and a
 /// family of random programs.
 pub fn precision(seeds: u64) -> String {
-    use fx10_semantics::{explore, ExploreConfig};
+    use fx10_robust::{Budget, CancelToken};
+    use fx10_semantics::{explore, explore_interned_budgeted, ExploreConfig};
     use fx10_suite::{random_fx10, RandomConfig};
     let mut out = String::new();
     let _ = writeln!(
@@ -310,7 +311,9 @@ pub fn precision(seeds: u64) -> String {
             max_depth: 2,
             seed,
         });
-        let e = explore(
+        // The interned engine visits the same states as `explore`, about
+        // ten times faster.
+        let e = explore_interned_budgeted(
             &p,
             &[],
             ExploreConfig {
@@ -318,7 +321,10 @@ pub fn precision(seeds: u64) -> String {
                 normalize_admin: true,
                 ..ExploreConfig::default()
             },
-        );
+            Budget::unlimited(),
+            &CancelToken::new(),
+        )
+        .expect("an unlimited, uncancelled exploration cannot fail");
         if e.truncated {
             continue;
         }

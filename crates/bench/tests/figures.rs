@@ -47,3 +47,21 @@ fn unknown_figures_exit_2() {
         );
     }
 }
+
+#[test]
+fn closed_stdout_ends_quietly_with_exit_0() {
+    for name in ["all", "fig5"] {
+        // The read end is closed before the child starts, so its first
+        // write to stdout already meets a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .arg(name)
+            .stdout(writer)
+            .output()
+            .expect("figures binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.is_empty(), "figures {name}: {err}");
+        assert_eq!(out.status.code(), Some(0), "figures {name}");
+    }
+}

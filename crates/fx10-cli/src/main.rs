@@ -261,12 +261,7 @@ impl Report {
 /// The explorer summary: identical stdout modulo the leading `jobs:`
 /// line, which is what lets the chaos harness diff a resumed run
 /// against an uninterrupted reference.
-fn print_exploration(
-    out: &mut Report,
-    p: &Program,
-    e: &fx10_semantics::Exploration,
-    digest_xor: bool,
-) {
+fn print_exploration(out: &mut Report, p: &Program, e: &fx10_semantics::Exploration) {
     writeln!(
         out,
         "{} state(s) visited{}, {} terminal(s), deadlock-free: {}",
@@ -287,14 +282,7 @@ fn print_exploration(
             p.labels().display(b)
         );
     }
-    if digest_xor {
-        let set = e.state_digests.as_ref();
-        let n = set.map_or(0, |s| s.len());
-        let xor = set.map_or(0u64, |s| {
-            s.iter().fold(0u64, |x, d| {
-                x ^ fx10_robust::snapshot::fnv1a64(d.as_bytes())
-            })
-        });
+    if let Some((xor, n)) = e.digest_xor {
         writeln!(out, "digest-xor: {xor:016x} over {n} state(s)");
     }
 }
@@ -324,7 +312,8 @@ fn print_run_report(out: &mut Report, p: &Program, banner: &str, run: &fx10_runt
             out,
             "races: {} race(s) on {} label pair(s):",
             run.races.len(),
-            run.race_pairs().len()
+            // Sorted pair-major: a pair's races are adjacent.
+            run.races.chunk_by(|x, y| x.pair == y.pair).count()
         );
         for r in &run.races {
             writeln!(
@@ -853,7 +842,7 @@ fn run_command(
                 &opts.input,
                 ExploreConfig {
                     max_states: opts.max_states,
-                    collect_states: opts.digest_xor,
+                    digest_xor: opts.digest_xor,
                     ..ExploreConfig::default()
                 },
                 opts.jobs,
@@ -867,7 +856,7 @@ fn run_command(
                 },
             )?;
             writeln!(out, "jobs: {} (work-stealing interned explorer)", opts.jobs);
-            print_exploration(out, &p, &e, opts.digest_xor);
+            print_exploration(out, &p, &e);
             Ok(Verdict::of(e.exhausted))
         }
         "mhp" => {

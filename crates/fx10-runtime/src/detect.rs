@@ -39,20 +39,27 @@
 //! and the reported label pair, since a later same-label access by the
 //! same activity dominates the earlier one with respect to every other
 //! activity's view. A group with a single label stores it inline;
-//! finding the accessor's own group and label takes a hash lookup.
+//! finding the accessor's own group and label takes a hash lookup. A
+//! group with several labels that an accessor races as a whole (it has
+//! seen none of its epochs) gets a bit row of its labels, so that
+//! accessor and later ones flag them all with one word-wise OR.
 //!
-//! **Races are recorded per cell**, in a set inside the cell's shadow
-//! under the lock the access already holds; [`Detector::races`] merges
-//! them once, at the end of a run. The reported set is exactly the set
-//! of `(label pair, cell)` for which some earlier access is unordered
-//! with a later one, at least one of them a write.
+//! **Races are recorded per cell as bit rows**, inside the cell's shadow
+//! under the lock the access already holds: one row per accessor label,
+//! one bit per label it raced. An access looks its row up once and then
+//! only sets bits. [`Detector::races`] normalizes the pairs (smaller
+//! label first) once, at the end of a run, into a bit matrix per cell,
+//! and merges the cells' matrices row by row into a list already in
+//! [`DetectedRace`] order, with no sort. The reported list is exactly
+//! the set of `(label pair, cell)` for which some earlier access is
+//! unordered with a later one, at least one of them a write.
 
-use fx10_semantics::hash::{IdMap, IdSet};
-use fx10_semantics::parallel::pair;
+use fx10_semantics::hash::IdMap;
 use fx10_semantics::LabelPair;
 use fx10_syntax::Label;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::BTreeSet;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -183,25 +190,89 @@ pub struct DetectedRace {
     pub cell: usize,
 }
 
-/// A set of normalized label pairs, each packed into one integer that
-/// hashes in one round and sorts as the pair does.
-type PairSet = IdSet<u64>;
-
-fn pack(a: Label, b: Label) -> u64 {
-    let (lo, hi) = pair(a, b);
-    (u64::from(lo.0) << 32) | u64::from(hi.0)
+/// A set of label numbers as a bit row: word `i` of `words` holds the
+/// labels `64 * (base + i)` to `64 * (base + i) + 63`. The row grows in
+/// either direction to cover what it holds, so a few nearby labels cost
+/// a word or two however large their numbers are.
+#[derive(Debug, Default)]
+struct Bits {
+    base: usize,
+    words: Vec<u64>,
 }
 
-fn unpack(key: u64) -> LabelPair {
-    (Label((key >> 32) as u32), Label(key as u32))
+impl Bits {
+    /// Widens the row to cover words `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.words.is_empty() {
+            self.base = lo;
+        } else if lo < self.base {
+            self.words
+                .splice(0..0, std::iter::repeat_n(0, self.base - lo));
+            self.base = lo;
+        }
+        if self.words.len() <= hi - self.base {
+            self.words.resize(hi - self.base + 1, 0);
+        }
+    }
+
+    fn insert(&mut self, l: Label) {
+        let w = l.0 as usize / 64;
+        self.cover(w, w);
+        self.words[w - self.base] |= 1 << (l.0 % 64);
+    }
+
+    /// Adds every label of `other`, a word at a time.
+    fn union_with(&mut self, other: &Bits) {
+        if other.words.is_empty() {
+            return;
+        }
+        self.cover(other.base, other.base + other.words.len() - 1);
+        let at = other.base - self.base;
+        for (x, y) in self.words[at..].iter_mut().zip(&other.words) {
+            *x |= y;
+        }
+    }
+
+    /// The labels held, ascending.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(move |(i, &w)| {
+            let first = ((self.base + i) * 64) as u32;
+            ones(w).map(move |bit| first + bit)
+        })
+    }
+}
+
+/// The positions of the set bits of `w`, ascending.
+fn ones(mut w: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let bit = w.trailing_zeros();
+            w &= w - 1;
+            bit
+        })
+    })
 }
 
 /// The latest epoch per label of one activity's accesses to one cell
-/// side; a single label is stored inline.
+/// side. A single label is stored inline, so a group of one label (the
+/// common case: `fib(18)` puts 8,361 of them on one cell) stays small.
 #[derive(Debug)]
 enum Labels {
     One(Label, u32),
-    Many(IdMap<Label, u32>),
+    Many(Box<ManyLabels>),
+}
+
+/// The labels of a group that has more than one.
+#[derive(Debug)]
+struct ManyLabels {
+    /// Label → its latest epoch.
+    at: IdMap<Label, u32>,
+    /// The keys of `at` as a bit row, built the first time an accessor
+    /// races the whole group: a race-free run never builds one.
+    mask: Option<Bits>,
+    /// The smallest epoch in `at`: an accessor that has not reached it
+    /// races every label of the group.
+    min_at: u32,
 }
 
 /// One activity's accesses to one side of one cell.
@@ -220,27 +291,43 @@ impl Group {
         match &mut self.labels {
             Labels::One(l, old) if *l == label => *old = (*old).max(at),
             Labels::One(l, old) => {
-                self.labels = Labels::Many(IdMap::from_iter([(*l, *old), (label, at)]));
+                self.labels = Labels::Many(Box::new(ManyLabels {
+                    at: IdMap::from_iter([(*l, *old), (label, at)]),
+                    mask: None,
+                    min_at: (*old).min(at),
+                }));
             }
             Labels::Many(m) => {
-                let old = m.entry(label).or_insert(at);
+                let old = m.at.entry(label).or_insert(at);
                 *old = (*old).max(at);
+                if let Some(mask) = &mut m.mask {
+                    mask.insert(label);
+                }
+                m.min_at = m.min_at.min(at);
             }
         }
     }
 
-    /// Flags every epoch later than `seen` (the accessor's view of this
-    /// group's activity) as racing `label`.
-    fn flag(&self, seen: u32, label: Label, races: &mut PairSet) {
-        match &self.labels {
+    /// Adds to `row` every label whose epoch is later than `seen` (the
+    /// accessor's view of this group's activity).
+    fn flag(&mut self, seen: u32, row: &mut Bits) {
+        match &mut self.labels {
             // The only epoch is the maximum, which the caller found unseen.
-            Labels::One(l, _) => {
-                races.insert(pack(*l, label));
+            Labels::One(l, _) => row.insert(*l),
+            Labels::Many(m) if seen < m.min_at => {
+                let ManyLabels { at, mask, .. } = &mut **m;
+                row.union_with(mask.get_or_insert_with(|| {
+                    let mut mask = Bits::default();
+                    for &l in at.keys() {
+                        mask.insert(l);
+                    }
+                    mask
+                }));
             }
             Labels::Many(m) => {
-                for (&l, &at) in m {
+                for (&l, &at) in &m.at {
                     if at > seen {
-                        races.insert(pack(l, label));
+                        row.insert(l);
                     }
                 }
             }
@@ -257,16 +344,6 @@ struct Side {
 }
 
 impl Side {
-    /// Flags every epoch the accessor's `clock` has not reached.
-    fn flag_unordered(&self, clock: &VClock, label: Label, races: &mut PairSet) {
-        for g in &self.groups {
-            let seen = clock.get(g.tid);
-            if seen < g.max_at {
-                g.flag(seen, label, races);
-            }
-        }
-    }
-
     fn record(&mut self, tid: u32, at: u32, label: Label) {
         match self.by_tid.entry(tid) {
             Entry::Occupied(e) => self.groups[*e.get()].record(at, label),
@@ -282,12 +359,38 @@ impl Side {
     }
 }
 
+/// The races seen on one cell, as one bit row per accessor label: bit
+/// `l` of row `a` says the access at `a` raced an earlier one at `l`.
+/// The pairs are normalized once, in [`Detector::races`].
+type RaceRows = IdMap<Label, Bits>;
+
+/// Adds to `races` every epoch in `groups` that the accessor's `clock`
+/// has not reached. The accessor's row is looked up once, and only when
+/// some group races it.
+fn flag_unordered<'a>(
+    groups: impl Iterator<Item = &'a mut Group>,
+    clock: &VClock,
+    label: Label,
+    races: &mut RaceRows,
+) {
+    let mut unseen = groups
+        .map(|g| (clock.get(g.tid), g))
+        .filter(|(seen, g)| *seen < g.max_at)
+        .peekable();
+    if unseen.peek().is_some() {
+        let row = races.entry(label).or_default();
+        for (seen, g) in unseen {
+            g.flag(seen, row);
+        }
+    }
+}
+
 /// One array cell's shadow: its grouped epochs and the races seen on it.
 #[derive(Debug, Default)]
 struct Shadow {
     writes: Side,
     reads: Side,
-    races: PairSet,
+    races: RaceRows,
 }
 
 /// The shadow memory: one lock-guarded shadow per array cell. Safe to
@@ -311,9 +414,12 @@ impl Detector {
     pub fn on_read(&self, cell: usize, label: Label, tid: u32, clock: &VClock) {
         let mut guard = self.cells[cell].lock().expect(POISONED);
         let shadow = &mut *guard;
-        shadow
-            .writes
-            .flag_unordered(clock, label, &mut shadow.races);
+        flag_unordered(
+            shadow.writes.groups.iter_mut(),
+            clock,
+            label,
+            &mut shadow.races,
+        );
         shadow.reads.record(tid, clock.get(tid), label);
     }
 
@@ -321,36 +427,165 @@ impl Detector {
     pub fn on_write(&self, cell: usize, label: Label, tid: u32, clock: &VClock) {
         let mut guard = self.cells[cell].lock().expect(POISONED);
         let shadow = &mut *guard;
-        shadow
+        let groups = shadow
             .writes
-            .flag_unordered(clock, label, &mut shadow.races);
-        shadow.reads.flag_unordered(clock, label, &mut shadow.races);
+            .groups
+            .iter_mut()
+            .chain(&mut shadow.reads.groups);
+        flag_unordered(groups, clock, label, &mut shadow.races);
         shadow.writes.record(tid, clock.get(tid), label);
     }
 
-    /// Every race observed so far.
-    pub fn races(&self) -> BTreeSet<DetectedRace> {
-        // Cells ascend, so sorting each cell's pairs sorts the whole list
-        // and the set is built from sorted input.
-        let mut out = Vec::new();
-        let mut keys = Vec::new();
-        for (cell, shadow) in self.cells.iter().enumerate() {
-            keys.clear();
-            keys.extend(&shadow.lock().expect(POISONED).races);
-            keys.sort_unstable();
-            out.extend(keys.iter().map(|&k| DetectedRace {
-                pair: unpack(k),
-                cell,
-            }));
+    /// Every race observed so far, ascending in [`DetectedRace`]'s order
+    /// (label pair, then cell) and without duplicates.
+    pub fn races(&self) -> Vec<DetectedRace> {
+        let cells: Vec<CellRaces> = self
+            .cells
+            .iter()
+            .enumerate()
+            .filter_map(|(cell, s)| CellRaces::of(cell, &s.lock().expect(POISONED).races))
+            .collect();
+        let mut out = Vec::with_capacity(cells.iter().map(CellRaces::len).sum());
+        // The next row of every cell, smallest `lo` first, ties to the
+        // smaller cell.
+        let mut next: BinaryHeap<Reverse<(u32, usize, usize)>> = cells
+            .iter()
+            .enumerate()
+            .filter_map(|(k, c)| c.row_from(0).map(|(lo, i)| Reverse((lo, k, i))))
+            .collect();
+        let mut same = Vec::new();
+        let mut merge = BinaryHeap::new();
+        while let Some(Reverse((lo, k, i))) = next.pop() {
+            // Every cell with a row for `lo`, cells ascending.
+            same.clear();
+            same.push((k, i));
+            while let Some(&Reverse((l, k, i))) = next.peek() {
+                if l != lo {
+                    break;
+                }
+                next.pop();
+                same.push((k, i));
+            }
+            let lo = Label(lo);
+            if let [(k, i)] = same[..] {
+                let cell = cells[k].cell;
+                for hi in cells[k].row(i) {
+                    out.push(DetectedRace {
+                        pair: (lo, Label(hi)),
+                        cell,
+                    });
+                }
+            } else {
+                // Merge the rows by `hi`, ties going to the smaller cell.
+                let mut his: Vec<_> = same.iter().map(|&(k, i)| cells[k].row(i)).collect();
+                merge.extend(
+                    his.iter_mut()
+                        .enumerate()
+                        .filter_map(|(j, it)| Some(Reverse((it.next()?, j)))),
+                );
+                while let Some(Reverse((hi, j))) = merge.pop() {
+                    out.push(DetectedRace {
+                        pair: (lo, Label(hi)),
+                        cell: cells[same[j].0].cell,
+                    });
+                    if let Some(hi) = his[j].next() {
+                        merge.push(Reverse((hi, j)));
+                    }
+                }
+            }
+            for &(k, i) in &same {
+                if let Some((lo, i)) = cells[k].row_from(i + 1) {
+                    next.push(Reverse((lo, k, i)));
+                }
+            }
         }
-        out.into_iter().collect()
+        out
+    }
+}
+
+/// One cell's races with their pairs normalized: a bit matrix over the
+/// labels that raced on the cell, numbered by rank.
+struct CellRaces {
+    cell: usize,
+    /// The labels that raced on the cell, ascending.
+    labels: Vec<u32>,
+    /// Words per matrix row.
+    width: usize,
+    /// Row `i` holds bit `j >= i` when `labels[i]` and `labels[j]`
+    /// raced.
+    matrix: Vec<u64>,
+}
+
+impl CellRaces {
+    /// Normalizes `rows`; `None` when the cell saw no race.
+    fn of(cell: usize, rows: &RaceRows) -> Option<CellRaces> {
+        if rows.is_empty() {
+            return None;
+        }
+        let mut seen = Bits::default();
+        for (&a, row) in rows {
+            seen.insert(a);
+            seen.union_with(row);
+        }
+        let labels: Vec<u32> = seen.iter().collect();
+        // Label → rank, indexed from the first word of `seen`.
+        let first = seen.base * 64;
+        let mut rank = vec![0; seen.words.len() * 64];
+        for (i, &l) in labels.iter().enumerate() {
+            rank[l as usize - first] = i;
+        }
+        let width = labels.len().div_ceil(64);
+        let mut matrix = vec![0u64; labels.len() * width];
+        for (&a, row) in rows {
+            let i = rank[a.0 as usize - first];
+            for (w, &bits) in row.words.iter().enumerate() {
+                let at = (row.base + w) * 64 - first;
+                for b in ones(bits) {
+                    let j = rank[at + b as usize];
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    matrix[lo * width + hi / 64] |= 1 << (hi % 64);
+                }
+            }
+        }
+        Some(CellRaces {
+            cell,
+            labels,
+            width,
+            matrix,
+        })
+    }
+
+    fn words(&self, i: usize) -> &[u64] {
+        &self.matrix[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The number of races.
+    fn len(&self) -> usize {
+        self.matrix.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The first nonempty row at or after `i`: its label and index.
+    fn row_from(&self, i: usize) -> Option<(u32, usize)> {
+        (i..self.labels.len())
+            .find(|&i| self.words(i).iter().any(|&w| w != 0))
+            .map(|i| (self.labels[i], i))
+    }
+
+    /// The labels that raced `labels[i]` from it upwards, ascending.
+    fn row(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        self.words(i)
+            .iter()
+            .enumerate()
+            .flat_map(move |(w, &bits)| ones(bits).map(move |b| self.labels[w * 64 + b as usize]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fx10_semantics::parallel::pair;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fork_makes_child_and_parent_future_concurrent() {
@@ -379,7 +614,7 @@ mod tests {
         d.on_write(0, Label(2), 0, &parent);
         let races = d.races();
         assert_eq!(races.len(), 1);
-        let r = races.iter().next().unwrap();
+        let r = races[0];
         assert_eq!(r.pair, (Label(1), Label(2)));
         assert_eq!(r.cell, 0);
     }
@@ -410,7 +645,7 @@ mod tests {
         d.on_write(0, Label(2), 1, &child);
         let races = d.races();
         assert_eq!(races.len(), 1);
-        assert_eq!(races.iter().next().unwrap().pair, (Label(0), Label(2)));
+        assert_eq!(races[0].pair, (Label(0), Label(2)));
     }
 
     #[test]
@@ -444,8 +679,8 @@ mod tests {
         let Labels::Many(m) = &shadow.writes.groups[0].labels else {
             panic!("two labels must be stored out of line");
         };
-        assert_eq!(m[&Label(0)], 100);
-        assert_eq!(m[&Label(2)], 101);
+        assert_eq!(m.at[&Label(0)], 100);
+        assert_eq!(m.at[&Label(2)], 101);
     }
 
     #[test]
@@ -465,12 +700,10 @@ mod tests {
         saw_first.bump(3);
         saw_first.join(&early);
         d.on_read(0, Label(2), 3, &saw_first);
-        let want: BTreeSet<_> = [DetectedRace {
+        let want = vec![DetectedRace {
             pair: (Label(1), Label(2)),
             cell: 0,
-        }]
-        .into_iter()
-        .collect();
+        }];
         assert_eq!(d.races(), want);
         // One that saw both is ordered after the whole group.
         let mut saw_all = VClock::new();
@@ -478,6 +711,151 @@ mod tests {
         saw_all.join(&a);
         d.on_read(0, Label(3), 4, &saw_all);
         assert_eq!(d.races(), want);
+    }
+
+    // -----------------------------------------------------------------
+    // Race rows and the normalized report.
+    // -----------------------------------------------------------------
+
+    /// The clocks of `n` sibling activities, tids 1 to `n`.
+    fn siblings(n: u32) -> Vec<VClock> {
+        let mut root = VClock::new();
+        root.bump(0);
+        (1..=n).map(|t| VClock::fork(&mut root, 0, t)).collect()
+    }
+
+    fn race(a: u32, b: u32, cell: usize) -> DetectedRace {
+        DetectedRace {
+            pair: (Label(a), Label(b)),
+            cell,
+        }
+    }
+
+    #[test]
+    fn labels_on_both_sides_of_word_boundaries_pair_up_normalized() {
+        let d = Detector::new(1);
+        let c = siblings(2);
+        let early = [0, 63, 64, 127, 128, 300];
+        for l in early {
+            d.on_write(0, Label(l), 1, &c[0]);
+        }
+        d.on_read(0, Label(65), 2, &c[1]);
+        d.on_write(0, Label(256), 2, &c[1]);
+        let mut want: Vec<_> = early
+            .iter()
+            .flat_map(|&l| [(l, 65), (l, 256)])
+            .map(|(a, b)| race(a.min(b), a.max(b), 0))
+            .collect();
+        want.sort();
+        assert_eq!(d.races(), want);
+    }
+
+    #[test]
+    fn a_pair_on_several_cells_comes_out_pair_major_with_cells_ascending() {
+        let d = Detector::new(4);
+        let c = siblings(2);
+        // (1, 2) on cells 3, 0 and 2, recorded in that order; on cell 2
+        // the later access is the smaller label's.
+        for cell in [3, 0] {
+            d.on_write(cell, Label(1), 1, &c[0]);
+            d.on_write(cell, Label(2), 2, &c[1]);
+        }
+        d.on_write(2, Label(2), 2, &c[1]);
+        d.on_write(2, Label(1), 1, &c[0]);
+        // (2, 3) on cell 0 and (0, 5) on cell 1.
+        d.on_write(0, Label(3), 1, &c[0]);
+        d.on_write(1, Label(5), 1, &c[0]);
+        d.on_read(1, Label(0), 2, &c[1]);
+        assert_eq!(
+            d.races(),
+            [
+                race(0, 5, 1),
+                race(1, 2, 0),
+                race(1, 2, 2),
+                race(1, 2, 3),
+                race(2, 3, 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_label_racing_itself_is_reported_once_on_the_diagonal() {
+        let d = Detector::new(2);
+        let c = siblings(2);
+        // One statement run by two siblings, then re-read by the first.
+        d.on_write(1, Label(7), 1, &c[0]);
+        d.on_write(1, Label(7), 2, &c[1]);
+        d.on_read(1, Label(7), 1, &c[0]);
+        assert_eq!(d.races(), [race(7, 7, 1)]);
+    }
+
+    #[test]
+    fn a_partly_seen_group_flags_its_later_labels_and_an_unseen_one_all() {
+        let d = Detector::new(1);
+        let mut root = VClock::new();
+        root.bump(0);
+        let mut a = VClock::fork(&mut root, 0, 1);
+        let b = VClock::fork(&mut root, 0, 2);
+        // Activity 1 writes 10 and 70, forks (bumping its own
+        // component), then writes 11 and 200.
+        d.on_write(0, Label(10), 1, &a);
+        d.on_write(0, Label(70), 1, &a);
+        let early = a.clone();
+        let _ = VClock::fork(&mut a, 1, 3);
+        d.on_write(0, Label(11), 1, &a);
+        d.on_write(0, Label(200), 1, &a);
+        // Activity 2 writes 20 and 90.
+        d.on_write(0, Label(20), 2, &b);
+        d.on_write(0, Label(90), 2, &b);
+        // An activity that saw activity 1's first two writes only.
+        let mut x = VClock::new();
+        x.bump(4);
+        x.join(&early);
+        d.on_read(0, Label(5), 4, &x);
+        let of_5: Vec<_> = d
+            .races()
+            .into_iter()
+            .filter(|r| r.pair.0 == Label(5))
+            .collect();
+        assert_eq!(
+            of_5,
+            [
+                race(5, 11, 0),
+                race(5, 20, 0),
+                race(5, 90, 0),
+                race(5, 200, 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_group_raced_whole_keeps_its_label_row_current() {
+        let d = Detector::new(1);
+        let c = siblings(3);
+        d.on_write(0, Label(1), 1, &c[0]);
+        d.on_write(0, Label(70), 1, &c[0]);
+        // Races activity 1's group as a whole, building its label row.
+        d.on_read(0, Label(2), 2, &c[1]);
+        // A label added after the row exists must join it.
+        d.on_write(0, Label(130), 1, &c[0]);
+        d.on_read(0, Label(3), 3, &c[2]);
+        assert_eq!(
+            d.races(),
+            [
+                race(1, 2, 0),
+                race(1, 3, 0),
+                race(2, 70, 0),
+                race(2, 130, 0),
+                race(3, 70, 0),
+                race(3, 130, 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_single_label_group_stays_three_words() {
+        // `fib(18)` keeps 8,361 single-label groups on one cell.
+        assert_eq!(std::mem::size_of::<Group>(), 24);
     }
 
     // -----------------------------------------------------------------
@@ -816,8 +1194,33 @@ mod tests {
             first_tid in 1u32..520,
         ) {
             let (d, oracle) = run_trace(&prog, seed, first_tid, CELLS);
-            prop_assert_eq!(d.races(), oracle.races);
+            let races = d.races();
+            prop_assert!(races.windows(2).all(|w| w[0] < w[1]), "not strictly ascending");
+            prop_assert_eq!(races, Vec::from_iter(oracle.races));
         }
+
+        #[test]
+        fn detector_matches_the_oracle_with_labels_across_words(
+            prog in proptest::collection::vec(op(), 1..8),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (d, oracle) = run_trace(&spread(&prog), seed, 1, CELLS);
+            prop_assert_eq!(d.races(), Vec::from_iter(oracle.races));
+        }
+    }
+
+    /// `prog` with its labels `0..6` moved to both sides of word
+    /// boundaries.
+    fn spread(prog: &[Op]) -> Vec<Op> {
+        const AT: [u32; 6] = [0, 63, 64, 127, 128, 300];
+        prog.iter()
+            .map(|op| match op {
+                Op::Read(c, l) => Op::Read(*c, AT[*l as usize]),
+                Op::Write(c, l) => Op::Write(*c, AT[*l as usize]),
+                Op::Async(body) => Op::Async(spread(body)),
+                Op::Finish(body) => Op::Finish(spread(body)),
+            })
+            .collect()
     }
 
     #[test]
@@ -828,7 +1231,7 @@ mod tests {
         let siblings: Vec<Op> = (0..300).map(|i| Op::Async(vec![Op::Write(0, i)])).collect();
         let prog = vec![Op::Finish(siblings), Op::Write(0, 999)];
         let (d, oracle) = run_trace(&prog, 7, 1, 1);
-        assert_eq!(d.races(), oracle.races);
+        assert_eq!(d.races(), Vec::from_iter(oracle.races));
         assert_eq!(d.races().len(), 300 * 299 / 2);
     }
 }

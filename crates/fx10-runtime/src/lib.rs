@@ -50,8 +50,9 @@ pub struct RunReport {
     pub completed: bool,
     /// Why execution was truncated, when `completed` is false.
     pub exhausted: Option<Exhaustion>,
-    /// Every race the detector observed on this execution.
-    pub races: BTreeSet<DetectedRace>,
+    /// Every race the detector observed on this execution, ascending
+    /// (label pair, then cell) and without duplicates.
+    pub races: Vec<DetectedRace>,
     /// Activities that existed (root + every executed `async`).
     pub activities: u32,
 }

@@ -61,6 +61,7 @@ use crate::snapshot::{self, ExplorerSnapshot};
 use crate::state::ArrayState;
 use crate::step::{initial_tree, successors};
 use crate::tree::Tree;
+use fx10_robust::snapshot::fnv1a64;
 use fx10_robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, SharedMeter, Stop};
 use fx10_syntax::Program;
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -94,6 +95,11 @@ pub struct ExploreConfig {
     /// state in [`Exploration::state_digests`]. Off by default — this is
     /// the differential-testing hook, not a production feature.
     pub collect_states: bool,
+    /// Fold the FNV-1a hash of every visited state's canonical
+    /// rendering into [`Exploration::digest_xor`], one state at a time:
+    /// the same digest as XOR-ing over [`Exploration::state_digests`],
+    /// without keeping the renderings. Off by default.
+    pub digest_xor: bool,
 }
 
 impl Default for ExploreConfig {
@@ -103,6 +109,7 @@ impl Default for ExploreConfig {
             normalize_admin: false,
             canonical_dedup: true,
             collect_states: false,
+            digest_xor: false,
         }
     }
 }
@@ -131,6 +138,11 @@ pub struct Exploration {
     /// engines, representations (cloned vs interned) and worker counts —
     /// the currency of the differential oracle.
     pub state_digests: Option<BTreeSet<String>>,
+    /// The XOR of the FNV-1a hashes of every visited state's canonical
+    /// rendering and the number of states folded, when
+    /// [`ExploreConfig::digest_xor`] was set. Independent of visiting
+    /// order, so equal across engines and worker counts.
+    pub digest_xor: Option<(u64, usize)>,
 }
 
 impl Exploration {
@@ -145,6 +157,7 @@ impl Exploration {
             deadlock_free: true,
             terminals: 0,
             state_digests: None,
+            digest_xor: None,
         }
     }
 }
@@ -341,6 +354,11 @@ fn explore_budgeted_with_sink(
     let state_digests = config
         .collect_states
         .then(|| visited.iter().map(State::digest).collect());
+    let digest_xor = config.digest_xor.then(|| {
+        visited.iter().fold((0, 0), |(x, n), s| {
+            (x ^ fnv1a64(s.digest().as_bytes()), n + 1)
+        })
+    });
     Ok(Exploration {
         visited: visited.len(),
         truncated: exhausted.is_some(),
@@ -349,6 +367,7 @@ fn explore_budgeted_with_sink(
         deadlock_free,
         terminals,
         state_digests,
+        digest_xor,
     })
 }
 
@@ -1099,21 +1118,29 @@ pub fn explore_parallel_durable(
     }
     let mhp = engine.interner.parallel_of_trees(trees);
 
-    let state_digests = config.collect_states.then(|| {
+    // Both digests render every visited state. In tree-id order, states
+    // whose trees share subtrees render one after another, so the walks
+    // stay in cache.
+    let visited_keys = || {
         let mut keys: Vec<u64> = Vec::with_capacity(engine.meter.states());
         for shard in &engine.visited {
             keys.extend(lock_shard(shard).iter().copied());
         }
-        // In tree-id order, states whose trees share subtrees render one
-        // after another, so the walks stay in cache.
         keys.sort_unstable_by_key(|&k| k.rotate_left(32));
+        keys
+    };
+    let renderings = |keys: Vec<u64>| {
         let mut render = StateRenderer::new(&engine.interner);
-        keys.iter()
-            .map(|&k| {
-                let (a, t) = state_parts(k);
-                render.render_state(a, t)
-            })
-            .collect()
+        keys.into_iter().map(move |k| {
+            let (a, t) = state_parts(k);
+            render.render_state(a, t)
+        })
+    };
+    let state_digests = config
+        .collect_states
+        .then(|| renderings(visited_keys()).collect());
+    let digest_xor = config.digest_xor.then(|| {
+        renderings(visited_keys()).fold((0, 0), |(x, n), s| (x ^ fnv1a64(s.as_bytes()), n + 1))
     });
 
     let exhausted = engine.meter.exhaustion();
@@ -1125,6 +1152,7 @@ pub fn explore_parallel_durable(
         deadlock_free: engine.deadlock_free.load(Ordering::Relaxed),
         terminals: engine.terminals.load(Ordering::Relaxed),
         state_digests,
+        digest_xor,
     })
 }
 
@@ -1435,6 +1463,32 @@ mod tests {
             assert_eq!(cloned.mhp, interned.mhp);
             assert_eq!(cloned.visited, interned.visited);
             assert_eq!(cloned.terminals, interned.terminals);
+        }
+    }
+
+    #[test]
+    fn the_streamed_digest_is_the_xor_over_the_collected_states() {
+        let config = ExploreConfig {
+            collect_states: true,
+            digest_xor: true,
+            ..ExploreConfig::default()
+        };
+        for p in [examples::example_2_1(), examples::example_2_2()] {
+            let cloned =
+                explore_budgeted(&p, &[], config, Budget::unlimited(), &CancelToken::new())
+                    .unwrap();
+            let interned = explore_interned_budgeted(
+                &p,
+                &[],
+                config,
+                Budget::unlimited(),
+                &CancelToken::new(),
+            )
+            .unwrap();
+            let states = cloned.state_digests.as_ref().unwrap();
+            let want = states.iter().fold(0, |x, s| x ^ fnv1a64(s.as_bytes()));
+            assert_eq!(cloned.digest_xor, Some((want, states.len())));
+            assert_eq!(interned.digest_xor, cloned.digest_xor);
         }
     }
 

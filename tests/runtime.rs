@@ -340,6 +340,11 @@ fn hist(w: usize, n: usize, bins: usize) -> String {
     src + " } }"
 }
 
+/// Strictly ascending: sorted and free of duplicates.
+fn ascending<T: Ord>(xs: &[T]) -> bool {
+    xs.windows(2).all(|w| w[0] < w[1])
+}
+
 /// The detector reports the same races, activities and steps under
 /// elision and on the crew at every size and seed, and the counts are
 /// the ones the benchmark's run workloads were built around.
@@ -355,11 +360,16 @@ fn benchmark_families_detect_identically_across_engines() {
         let serial = elide(&p);
         assert!(serial.completed, "{name}");
         assert_eq!(serial.races.len(), races, "{name}: elision races");
+        assert!(
+            ascending(&serial.races),
+            "{name}: elision races out of order"
+        );
         assert_eq!(serial.activities, activities, "{name}: elision activities");
         for jobs in [1, 2, 8] {
             for seed in 0..4u64 {
                 let r = par(&p, jobs, seed);
                 assert!(r.completed, "{name} jobs={jobs} seed={seed}");
+                assert!(ascending(&r.races), "{name} jobs={jobs} seed={seed}");
                 assert_eq!(r.races, serial.races, "{name} jobs={jobs} seed={seed}");
                 assert_eq!(r.activities, activities, "{name} jobs={jobs} seed={seed}");
                 assert_eq!(r.steps, serial.steps, "{name} jobs={jobs} seed={seed}");
