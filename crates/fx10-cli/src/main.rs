@@ -69,9 +69,10 @@
 
 use fx10_core::{analyze_with_budget, analyze_with_fallback, AnalysisPath, Supervisor};
 use fx10_robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
+use fx10_runtime::Scheduler;
 use fx10_semantics::{
-    explore_parallel_durable, run_budgeted, CheckpointSpec, Durability, ExploreConfig,
-    ExplorerSnapshot, Scheduler, WatchdogSpec,
+    explore_parallel_durable, CheckpointSpec, Durability, ExploreConfig, ExplorerSnapshot,
+    WatchdogSpec,
 };
 use fx10_syntax::Program;
 use std::io::{self, Write};
@@ -83,7 +84,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: fx10 <parse|run|explore|mhp|race|lint|absint|check|x10|bench> <file|name> [options]\n\
          options:\n\
-           --sched <leftmost|rightmost|random[:seed]>   semantics-stepper scheduler (run)\n\
+           --sched <leftmost|rightmost|random[:seed]>   single-path walker schedule (run)\n\
            --input v,v,...                              initial array (run/explore/check)\n\
            --steps N                                    step budget (run)\n\
            --max-states N                               exploration cap (explore/check)\n\
@@ -287,13 +288,8 @@ fn print_exploration(out: &mut Report, p: &Program, e: &fx10_semantics::Explorat
     }
 }
 
-/// The shared tail of the runtime `run` paths. Deliberately identical
-/// across engines — only the leading `runtime:` banner names the engine
-/// and its knobs — so the CI elision oracle can diff a parallel run
-/// against the serial one with `grep -v '^runtime:'` and demand byte
-/// identity for race-free programs.
-fn print_run_report(out: &mut Report, p: &Program, banner: &str, run: &fx10_runtime::RunReport) {
-    writeln!(out, "runtime: {banner}");
+/// The termination, array and result lines every `run` mode prints.
+fn print_run_lines(out: &mut Report, run: &fx10_runtime::RunReport) {
     if run.completed {
         writeln!(out, "completed in {} steps", run.steps);
     } else if let Some(e) = run.exhausted {
@@ -305,6 +301,16 @@ fn print_run_report(out: &mut Report, p: &Program, banner: &str, run: &fx10_runt
         "result a[0] = {}",
         run.array.first().copied().unwrap_or(0)
     );
+}
+
+/// The shared tail of the runtime `run` paths. Deliberately identical
+/// across engines — only the leading `runtime:` banner names the engine
+/// and its knobs — so the CI elision oracle can diff a parallel run
+/// against the serial one with `grep -v '^runtime:'` and demand byte
+/// identity for race-free programs.
+fn print_run_report(out: &mut Report, p: &Program, banner: &str, run: &fx10_runtime::RunReport) {
+    writeln!(out, "runtime: {banner}");
+    print_run_lines(out, run);
     if run.races.is_empty() {
         writeln!(out, "races: none");
     } else {
@@ -808,21 +814,15 @@ fn run_command(
         }
         "run" => {
             let p = load(target)?;
-            let run = run_budgeted(
+            let run = fx10_runtime::run_scheduled(
                 &p,
                 &opts.input,
-                opts.sched.clone(),
+                &opts.sched,
                 opts.steps,
                 budget,
                 &cancel,
             )?;
-            if run.completed {
-                writeln!(out, "completed in {} steps", run.steps);
-            } else if let Some(e) = run.exhausted {
-                writeln!(out, "{e} exhausted after {} steps", run.steps);
-            }
-            writeln!(out, "a = {:?}", run.array.cells());
-            writeln!(out, "result a[0] = {}", run.array.result());
+            print_run_lines(out, &run);
             Ok(Verdict::of(run.exhausted))
         }
         "explore" => {

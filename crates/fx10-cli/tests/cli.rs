@@ -833,6 +833,41 @@ fn run_counts_races_and_label_pairs_separately() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Unbounded recursion is a budget trip (exit 3) in every `run` mode,
+/// never a stack-overflow abort.
+#[test]
+fn unbounded_recursion_exits_3_in_every_run_mode() {
+    for (i, src) in [
+        "def f() { f(); } def main() { f(); }",
+        "def f() { finish { f(); } } def main() { f(); }",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = std::env::temp_dir().join(format!(
+            "fx10-cli-recursion-{i}-{}.fx10",
+            std::process::id()
+        ));
+        std::fs::write(&path, src).unwrap();
+        let file = path.display().to_string();
+        for argv in [
+            &["run", &file][..],
+            &["run", &file, "--sched", "random:3"][..],
+            &["run", &file, "--elide"][..],
+            &["run", &file, "--jobs", "1"][..],
+            &["run", &file, "--jobs", "2"][..],
+        ] {
+            let out = fx10(argv);
+            assert_eq!(code(&out), 3, "{src} {argv:?}: {out:?}");
+            assert!(
+                stdout(&out).contains(" exhausted after "),
+                "{argv:?}: {out:?}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
 /// The new runtime flags obey the same audit contract as every other
 /// flag: valid on `run`, rejected with exit 2 anywhere else, and
 /// mutually exclusive combinations are usage errors, not silent picks.

@@ -153,6 +153,9 @@ pub enum Exhaustion {
     Deadline,
     /// The peak-set-memory cap.
     Memory,
+    /// The runtime's fixed nesting-depth limit: deeper recursion would
+    /// overflow the native stack.
+    Nesting,
 }
 
 impl fmt::Display for Exhaustion {
@@ -163,6 +166,7 @@ impl fmt::Display for Exhaustion {
             Exhaustion::SolverIterations => write!(f, "solver iteration budget"),
             Exhaustion::Deadline => write!(f, "wall-clock deadline"),
             Exhaustion::Memory => write!(f, "memory budget"),
+            Exhaustion::Nesting => write!(f, "nesting limit"),
         }
     }
 }

@@ -16,7 +16,7 @@
 //! race-free program, so the parallel engine's count is byte-identical.
 
 use crate::detect::{Detector, VClock};
-use crate::RunReport;
+use crate::{RunReport, MAX_NESTING};
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, Fx10Error, Stop};
 use fx10_semantics::ArrayState;
 use fx10_syntax::{Expr, Label, Program, Stmt};
@@ -25,6 +25,8 @@ use fx10_syntax::{Expr, Label, Program, Stmt};
 enum Halt {
     /// The `max_steps` cap tripped.
     Steps,
+    /// `exec` recursion reached [`MAX_NESTING`].
+    TooDeep,
     /// The budget meter asked us to stop (deadline, iteration budget, or
     /// cancellation).
     Stop(Stop),
@@ -38,6 +40,8 @@ struct Elider<'a> {
     steps: u64,
     max_steps: u64,
     next_tid: u32,
+    /// Current `exec` recursion depth.
+    depth: usize,
 }
 
 impl<'a> Elider<'a> {
@@ -69,6 +73,11 @@ impl<'a> Elider<'a> {
         scopes: &mut Vec<VClock>,
     ) -> Result<(), Halt> {
         use fx10_syntax::InstrKind::*;
+        // An `Err` ends the run, so early returns leave `depth` as is.
+        if self.depth == MAX_NESTING {
+            return Err(Halt::TooDeep);
+        }
+        self.depth += 1;
         for ins in s.instrs() {
             self.charge()?;
             match &ins.kind {
@@ -111,6 +120,7 @@ impl<'a> Elider<'a> {
                 }
             }
         }
+        self.depth -= 1;
         Ok(())
     }
 }
@@ -118,9 +128,10 @@ impl<'a> Elider<'a> {
 /// Runs `p` serially under sequential elision, race detector on.
 ///
 /// `max_steps` bounds executed instructions ([`Exhaustion::Steps`] when
-/// exceeded); `budget`'s iteration cap and deadline are honored on the
-/// same stride as the analyses, and `cancel` unwinds with
-/// [`Fx10Error::Cancelled`].
+/// exceeded) and [`MAX_NESTING`] the recursion depth
+/// ([`Exhaustion::Nesting`]); `budget`'s iteration cap and deadline are
+/// honored on the same stride as the analyses, and `cancel` unwinds
+/// with [`Fx10Error::Cancelled`].
 pub fn run_elision(
     p: &Program,
     input: &[i64],
@@ -137,6 +148,7 @@ pub fn run_elision(
         steps: 0,
         max_steps,
         next_tid: 1,
+        depth: 0,
     };
     let mut clock = VClock::new();
     clock.bump(0);
@@ -145,6 +157,7 @@ pub fn run_elision(
     let exhausted = match r {
         Ok(()) => None,
         Err(Halt::Steps) => Some(Exhaustion::Steps),
+        Err(Halt::TooDeep) => Some(Exhaustion::Nesting),
         Err(Halt::Stop(Stop::Exhausted(x))) => Some(x),
         Err(Halt::Stop(Stop::Cancelled)) => return Err(Fx10Error::Cancelled),
     };

@@ -31,10 +31,12 @@
 //! must still be tear-free. Steps count executed instructions in a
 //! shared counter (same accounting as the elision engine, so race-free
 //! programs report byte-identical step totals); the stop flag, cancel
-//! token, deadline and step caps are polled on a stride.
+//! token, deadline and step caps are polled on a stride. Each worker
+//! counts its `exec` recursion depth and stops the crew with
+//! [`Exhaustion::Nesting`] at [`MAX_NESTING`].
 
 use crate::detect::{Detector, VClock};
-use crate::RunReport;
+use crate::{RunReport, MAX_NESTING};
 use fx10_robust::{panic_message, Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error};
 use fx10_semantics::ArrayState;
 use fx10_syntax::{Expr, Label, Program, Stmt};
@@ -129,6 +131,9 @@ struct Wctx {
     w: usize,
     rng: Xorshift,
     processed: u64,
+    /// Current `exec` recursion depth on this worker's stack (helping
+    /// at a `finish` nests the helped task's frames on top).
+    depth: usize,
 }
 
 struct Xorshift(u64);
@@ -234,6 +239,12 @@ impl<'a> Engine<'a> {
         ctx: &mut Wctx,
     ) -> Go {
         use fx10_syntax::InstrKind::*;
+        // An `Err` stops the crew, so early returns leave `depth` as is.
+        if ctx.depth == MAX_NESTING {
+            self.trip(Exhaustion::Nesting);
+            return Err(());
+        }
+        ctx.depth += 1;
         for ins in s.instrs() {
             self.charge()?;
             match &ins.kind {
@@ -283,6 +294,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        ctx.depth -= 1;
         Ok(())
     }
 
@@ -368,6 +380,7 @@ impl<'a> Engine<'a> {
             w,
             rng: Xorshift::new(seed),
             processed: 0,
+            depth: 0,
         };
         let mut idle = 0u64;
         loop {

@@ -15,8 +15,8 @@
 //!
 //! This crate provides:
 //! - [`step`]: the transition rules (1)–(14) as a successor enumerator,
-//! - [`interp`]: an interpreter parameterized by a [`interp::Scheduler`]
-//!   (leftmost, rightmost, random),
+//!   the reference that the interned [`Stepper`] and the runtime's
+//!   single-path walker (`fx10-runtime`) are checked against,
 //! - [`parallel`]: the `parallel(T)` / `FTlabels(T)` functions of Figure 3,
 //!   used to define ground-truth MHP,
 //! - [`explore`](mod@explore): exhaustive (sequential and multi-threaded) state-space
@@ -31,7 +31,6 @@
 pub mod explore;
 pub mod hash;
 pub mod intern;
-pub mod interp;
 pub mod parallel;
 pub mod snapshot;
 pub mod state;
@@ -45,7 +44,6 @@ pub use explore::{
     FrontSample, WatchdogSpec,
 };
 pub use intern::{ArrayId, Interner, Stepper, StmtId, TreeBits, TreeId};
-pub use interp::{run, run_budgeted, run_result, RunOutcome, Scheduler};
 pub use parallel::{ftlabels, parallel, LabelPair};
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;

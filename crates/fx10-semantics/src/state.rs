@@ -54,11 +54,6 @@ impl ArrayState {
         }
     }
 
-    /// The result cell `a[0]`.
-    pub fn result(&self) -> i64 {
-        self.cells[0]
-    }
-
     /// All cells.
     pub fn cells(&self) -> &[i64] {
         &self.cells
@@ -90,7 +85,7 @@ mod tests {
         assert_eq!(a.eval(&Expr::Plus1(1)), 42);
         a.set(2, a.eval(&Expr::Plus1(1)));
         assert_eq!(a.get(2), 42);
-        assert_eq!(a.result(), 7);
+        assert_eq!(a.get(0), 7);
     }
 
     #[test]

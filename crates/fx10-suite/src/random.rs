@@ -296,7 +296,8 @@ mod tests {
 
     #[test]
     fn random_fx10_terminates_on_zero_input() {
-        use fx10_semantics::{run, Scheduler};
+        use fx10_robust::{Budget, CancelToken};
+        use fx10_runtime::{run_scheduled, Scheduler};
         for seed in 0..30 {
             let p = random_fx10(RandomConfig {
                 seed,
@@ -304,7 +305,15 @@ mod tests {
                 stmts_per_method: 5,
                 max_depth: 3,
             });
-            let out = run(&p, &[], Scheduler::Random(seed), 100_000);
+            let out = run_scheduled(
+                &p,
+                &[],
+                &Scheduler::Random(seed),
+                100_000,
+                Budget::unlimited(),
+                &CancelToken::new(),
+            )
+            .unwrap();
             assert!(out.completed, "seed {seed} must terminate");
         }
     }

@@ -1,15 +1,21 @@
-//! Executing FX10: the calculus is Turing-complete and this library ships
-//! a real small-step interpreter. This example computes with async/finish
-//! parallelism under three schedulers and shows (a) confluence of
-//! well-synchronized programs and (b) Theorem 1 — runs end only by
-//! completing, never by deadlock.
+//! Executing FX10: the calculus is Turing-complete and the runtime ships
+//! a small-step walker that follows one schedule of the semantics. This
+//! example computes with async/finish parallelism under three schedulers
+//! and shows (a) confluence of well-synchronized programs and (b)
+//! Theorem 1 — runs end only by completing, never by deadlock.
 //!
 //! ```sh
 //! cargo run --example interpreter
 //! ```
 
-use fx10::semantics::{explore, run, ExploreConfig, Scheduler};
+use fx10::robust::{Budget, CancelToken};
+use fx10::runtime::{run_scheduled, RunReport, Scheduler};
+use fx10::semantics::{explore, ExploreConfig};
 use fx10::syntax::Program;
+
+fn run(p: &Program, input: &[i64], s: Scheduler) -> RunReport {
+    run_scheduled(p, input, &s, 10_000, Budget::default(), &CancelToken::new()).unwrap()
+}
 
 fn main() {
     // A fork-join sum: four async increments of a[0], joined by finish,
@@ -33,15 +39,12 @@ fn main() {
         ("rightmost", Scheduler::Rightmost),
         ("random   ", Scheduler::Random(2026)),
     ] {
-        let out = run(&p, &[], s, 10_000);
+        let out = run(&p, &[], s);
         println!(
             "  {name}: a[0] = {}, a[1] = {}, {} steps, completed = {}",
-            out.array.get(0),
-            out.array.get(1),
-            out.steps,
-            out.completed
+            out.array[0], out.array[1], out.steps, out.completed
         );
-        assert_eq!(out.array.get(0), 4, "finish makes the sum deterministic");
+        assert_eq!(out.array[0], 4, "finish makes the sum deterministic");
     }
 
     // A data-dependent loop: copy-by-increment bounded by input.
@@ -56,11 +59,10 @@ fn main() {
     )
     .expect("parses");
     // a[1]=1, a[2]=-2, a[3]=-2: runs exactly twice.
-    let out = run(&loopy, &[10, 1, -2, -2], Scheduler::Leftmost, 10_000);
+    let out = run(&loopy, &[10, 1, -2, -2], Scheduler::Leftmost);
     println!(
         "\nbounded loop: a[0] = {} after {} steps (expected 12)",
-        out.array.get(0),
-        out.steps
+        out.array[0], out.steps
     );
 
     // Theorem 1, exhaustively: every reachable state of the fork-join

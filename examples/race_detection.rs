@@ -2,8 +2,8 @@
 //! built on the MHP analysis.
 //!
 //! A buggy parallel accumulator races on `a[0]`; adding a `finish` fixes
-//! it. The detector reports exactly the racing pair, and the interpreter
-//! demonstrates the nondeterministic outcome the race causes.
+//! it. The detector reports exactly the racing pair, and the runtime's
+//! walker demonstrates the nondeterministic outcome the race causes.
 //!
 //! ```sh
 //! cargo run --example race_detection
@@ -11,7 +11,8 @@
 
 use fx10::analysis::analyze;
 use fx10::analysis::race::{detect_races, render_races};
-use fx10::semantics::{run_result, Scheduler};
+use fx10::robust::{Budget, CancelToken};
+use fx10::runtime::{run_scheduled, Scheduler};
 use fx10::syntax::Program;
 
 fn report(title: &str, src: &str) {
@@ -21,8 +22,10 @@ fn report(title: &str, src: &str) {
     println!("== {title} ==");
     print!("{}", render_races(&p, &races));
     // Show the observable consequence: final a[0] under two schedules.
-    let left = run_result(&p, &[], Scheduler::Leftmost).unwrap();
-    let right = run_result(&p, &[], Scheduler::Rightmost).unwrap();
+    let cancel = CancelToken::new();
+    let run = |s| run_scheduled(&p, &[], &s, 10_000, Budget::default(), &cancel).unwrap();
+    let left = run(Scheduler::Leftmost).array[0];
+    let right = run(Scheduler::Rightmost).array[0];
     println!("final a[0]: leftmost schedule = {left}, rightmost = {right}");
     if left != right {
         println!("→ schedule-dependent result: the race is real\n");

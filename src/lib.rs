@@ -6,8 +6,8 @@
 //! Re-exports the workspace crates under stable module names:
 //!
 //! - [`syntax`] — the FX10 AST, parser, pretty-printer and builder.
-//! - [`semantics`] — the small-step operational semantics, interpreter,
-//!   exhaustive state-space explorer and dynamic (ground-truth) MHP.
+//! - [`semantics`] — the small-step operational semantics, exhaustive
+//!   state-space explorer and dynamic (ground-truth) MHP.
 //! - [`analysis`] — the paper's contribution: the context-sensitive
 //!   may-happen-in-parallel type system, set constraints and solvers,
 //!   plus the context-insensitive baseline.
@@ -20,9 +20,9 @@
 //!   budgets, cooperative cancellation and the fault-injection plan.
 //! - [`absint`] — the abstract-interpretation value analysis of the
 //!   shared array and its MHP guard-feasibility oracle.
-//! - [`runtime`] — real parallel execution: the work-stealing scheduler,
-//!   sequential elision, the vector-clock race detector, and guided
-//!   witness replay.
+//! - [`runtime`] — every way to run a program: the work-stealing
+//!   scheduler, sequential elision, the vector-clock race detector, and
+//!   the single-path walker behind `fx10 run --sched` and witness replay.
 
 #![warn(missing_docs)]
 pub use fx10_absint as absint;

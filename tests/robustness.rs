@@ -20,9 +20,10 @@ use fx10::analysis::{
     SolverKind, Supervisor,
 };
 use fx10::robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
+use fx10::runtime::{run_scheduled, Scheduler};
 use fx10::semantics::{
-    explore, explore_budgeted, explore_parallel_durable, run_budgeted, CheckpointSpec, Durability,
-    ExploreConfig, ExplorerSnapshot, Scheduler, WatchdogSpec,
+    explore, explore_budgeted, explore_parallel_durable, CheckpointSpec, Durability, ExploreConfig,
+    ExplorerSnapshot, WatchdogSpec,
 };
 use fx10::suite::{random_fx10, RandomConfig};
 use proptest::prelude::*;
@@ -151,7 +152,7 @@ proptest! {
             Fx10Error::Cancelled
         );
         prop_assert_eq!(
-            run_budgeted(&p, &[], Scheduler::Leftmost, u64::MAX, Budget::unlimited(), &cancel)
+            run_scheduled(&p, &[], &Scheduler::Leftmost, u64::MAX, Budget::unlimited(), &cancel)
                 .map(|_| ())
                 .unwrap_err(),
             Fx10Error::Cancelled
@@ -200,19 +201,19 @@ proptest! {
         }
     }
 
-    /// P5: the interpreter respects its budgets: it either completes or
-    /// tags the outcome with the budget that ended it — never both, never
-    /// neither.
+    /// P5: the single-path walker respects its budgets: it either
+    /// completes or tags the outcome with the budget that ended it —
+    /// never both, never neither.
     #[test]
     fn interpreter_budgets_are_tagged(
         seed in 0u64..10_000,
         steps in 1u64..60,
     ) {
         let p = random_fx10(cfg(seed, 2, 4, 2));
-        let out = run_budgeted(
+        let out = run_scheduled(
             &p,
             &[],
-            Scheduler::Random(seed),
+            &Scheduler::Random(seed),
             steps,
             Budget::unlimited(),
             &CancelToken::new(),

@@ -16,18 +16,25 @@
 //! Plus the witness bridge: every race the lint suite *confirmed* with a
 //! replayable schedule must replay to an actually-detected race on the
 //! instrumented runtime — static analysis, bounded exploration and real
-//! execution all agreeing on the same pair.
+//! execution all agreeing on the same pair — and the single-path walker
+//! checked against a reference walk over the semantics' own
+//! `successors` enumeration.
 
 use std::collections::BTreeSet;
 
 use fx10::analysis::race::{accesses, detect_races_with};
 use fx10::analysis::{analyze, analyze_ci};
 use fx10::robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
-use fx10::runtime::{replay_detect, run_elision, run_parallel, RtConfig, RunReport};
-use fx10::semantics::{explore, ExploreConfig};
+use fx10::runtime::{
+    replay_detect, run_elision, run_parallel, run_scheduled, RtConfig, RunReport, Scheduler,
+};
+use fx10::semantics::step::{initial_tree, successors};
+use fx10::semantics::{explore, ArrayState, ExploreConfig};
 use fx10::suite::{random_fx10, RandomConfig};
 use fx10::syntax::Program;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const STEP_CAP: u64 = 400_000;
 
@@ -288,6 +295,156 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The single-path walker against a reference walk over `successors`.
+// ---------------------------------------------------------------------
+
+/// The reference walk: enumerate every successor, pick one as the
+/// scheduler says (the same `StdRng` draw per step), repeat. Returns
+/// the final array, steps taken, and the exhaustion that cut the walk.
+fn reference_walk(
+    p: &Program,
+    input: &[i64],
+    sched: &Scheduler,
+    max_steps: u64,
+) -> (Vec<i64>, u64, Option<Exhaustion>) {
+    let mut array = ArrayState::with_input(p, input);
+    let mut tree = initial_tree(p);
+    let seed = if let Scheduler::Random(s) = sched {
+        *s
+    } else {
+        0
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut steps = 0;
+    while !tree.is_done() {
+        if steps == max_steps {
+            return (array.cells().to_vec(), steps, Some(Exhaustion::Steps));
+        }
+        let mut succ = successors(p, &array, &tree);
+        let i = match sched {
+            Scheduler::Leftmost => 0,
+            Scheduler::Rightmost => succ.len() - 1,
+            Scheduler::Random(_) => rng.gen_range(0..succ.len()),
+        };
+        let next = succ.swap_remove(i);
+        (array, tree) = (next.array, next.tree);
+        steps += 1;
+    }
+    (array.cells().to_vec(), steps, None)
+}
+
+/// The walker and the reference agree on array, steps, completion and
+/// exhaustion under all three schedulers.
+fn walker_matches_reference(p: &Program, input: &[i64], max_steps: u64) -> Result<(), String> {
+    for sched in [
+        Scheduler::Leftmost,
+        Scheduler::Rightmost,
+        Scheduler::Random(0xf10),
+        Scheduler::Random(3),
+    ] {
+        let got = run_scheduled(
+            p,
+            input,
+            &sched,
+            max_steps,
+            Budget::unlimited(),
+            &CancelToken::new(),
+        )
+        .map_err(|e| format!("{sched:?}: {e}"))?;
+        let (array, steps, exhausted) = reference_walk(p, input, &sched, max_steps);
+        let want = (array, steps, exhausted.is_none(), exhausted);
+        let have = (got.array, got.steps, got.completed, got.exhausted);
+        if have != want {
+            return Err(format!("{sched:?}: walker {have:?}, reference {want:?}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn walker_matches_the_reference_walk_on_every_fixture() {
+    for (name, p) in all_fixtures() {
+        let ones = vec![1; p.array_len()];
+        for input in [&[][..], &ones] {
+            walker_matches_reference(&p, input, 5_000)
+                .unwrap_or_else(|e| panic!("{name} input {input:?}: {e}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn walker_matches_the_reference_walk_on_random_programs(
+        seed in 0u64..10_000,
+        methods in 1usize..4,
+        stmts in 1usize..5,
+        depth in 0usize..3,
+        max_steps in 1u64..400,
+    ) {
+        let p = random_fx10(RandomConfig {
+            methods,
+            stmts_per_method: stmts,
+            max_depth: depth,
+            seed,
+        });
+        if let Err(e) = walker_matches_reference(&p, &[], max_steps) {
+            prop_assert!(false, "{}\n{}", e, fx10::syntax::pretty::program(&p));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Unbounded recursion ends at the nesting limit, in every engine.
+// ---------------------------------------------------------------------
+
+#[test]
+fn unbounded_recursion_exhausts_the_nesting_limit_in_every_engine() {
+    for src in [
+        "def f() { f(); } def main() { f(); }",
+        "def f() { finish { f(); } } def main() { f(); }",
+        "def f() { finish { async { f(); } } } def main() { f(); }",
+    ] {
+        let p = Program::parse(src).unwrap();
+        let serial =
+            run_elision(&p, &[], u64::MAX, Budget::unlimited(), &CancelToken::new()).unwrap();
+        assert_eq!(serial.exhausted, Some(Exhaustion::Nesting), "{src}");
+        assert!(!serial.completed);
+        for jobs in [1, 2] {
+            let cfg = RtConfig {
+                jobs,
+                ..RtConfig::default()
+            };
+            let r = run_parallel(
+                &p,
+                &[],
+                &cfg,
+                Budget::unlimited(),
+                &CancelToken::new(),
+                &FaultPlan::none(),
+            )
+            .unwrap();
+            assert_eq!(r.exhausted, Some(Exhaustion::Nesting), "{src} jobs={jobs}");
+            assert!(!r.completed);
+        }
+    }
+    // The walker's tree deepens only under `finish`/`async`; a tail call
+    // runs in place until the step cap.
+    let p = Program::parse("def f() { finish { async { f(); } } } def main() { f(); }").unwrap();
+    let r = run_scheduled(
+        &p,
+        &[],
+        &Scheduler::Leftmost,
+        u64::MAX,
+        Budget::unlimited(),
+        &CancelToken::new(),
+    )
+    .unwrap();
+    assert_eq!(r.exhausted, Some(Exhaustion::Nesting));
 }
 
 // ---------------------------------------------------------------------
