@@ -6,10 +6,11 @@ use crate::gen::{self, GenOutput, Mode};
 use crate::index::StmtIndex;
 use crate::sets::{LabelSet, PairSet};
 use crate::slabels::{compute_slabels_budgeted, SlabelsResult};
-use crate::solver::SetSolution;
 pub use crate::solver::SolverKind;
+use crate::solver::{PairSolution, SetSolution};
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, FaultPlan, Fx10Error, Stop};
 use fx10_syntax::{FuncId, Label, Program};
+use std::sync::OnceLock;
 
 /// Counters matching the evaluation tables.
 #[derive(Debug, Clone, Default)]
@@ -41,8 +42,10 @@ pub struct Analysis {
     idx: StmtIndex,
     slabels: SlabelsResult,
     l1: SetSolution,
-    /// `M_i` per method, the only level-2 values a caller reads.
-    m_methods: Vec<PairSet>,
+    l2: PairSolution,
+    /// `M_i` per method, the only level-2 values a caller reads, each
+    /// materialised from `l2` on its first read.
+    m_methods: Vec<OnceLock<PairSet>>,
     gen: GenOutput,
     main: FuncId,
     /// Statistics gathered while solving.
@@ -139,9 +142,8 @@ pub fn analyze_with_budget(
         idx,
         slabels,
         l1,
-        m_methods: (0..gen.layout.u)
-            .map(|f| l2.get(gen.layout.mi(FuncId(f as u32))))
-            .collect(),
+        l2,
+        m_methods: vec![OnceLock::new(); gen.layout.u],
         gen,
         stats,
         exhausted,
@@ -248,9 +250,10 @@ impl Analysis {
         self.mhp_of(self.main)
     }
 
-    /// `M_i` of a method.
+    /// `M_i` of a method, materialised from the level-2 solution on
+    /// first read.
     pub fn mhp_of(&self, f: FuncId) -> &PairSet {
-        &self.m_methods[f.index()]
+        self.m_methods[f.index()].get_or_init(|| self.l2.get(self.gen.layout.mi(f)))
     }
 
     /// `O_i` of a method: labels that may still be executing when a call

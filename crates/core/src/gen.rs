@@ -452,7 +452,7 @@ pub fn generate(p: &Program, idx: &StmtIndex, slab: &SlabelsResult, mode: Mode) 
 /// Substitutes the level-1 solution into the symbolic level-2 system — the
 /// paper's "simplified level-2 constraints" (§5.3).
 pub fn simplify(gen: &GenOutput, l1: &SetSolution, slab: &SlabelsResult) -> PairSystem {
-    use std::sync::Arc;
+    let mut share = l1.sharer();
     let constraints = gen
         .level2
         .iter()
@@ -462,13 +462,13 @@ pub fn simplify(gen: &GenOutput, l1: &SetSolution, slab: &SlabelsResult) -> Pair
                 .terms
                 .iter()
                 .map(|t| match t {
-                    SymPairTerm::Lcross(l, v) => PairTerm::Lcross(*l, Arc::new(l1.get(*v).clone())),
+                    SymPairTerm::Lcross(l, v) => PairTerm::Lcross(*l, share(*v)),
                     SymPairTerm::Symcross(sr, v) => {
                         let a = match sr {
                             SlabRef::Stmt(s) => slab.stmt(*s).clone(),
                             SlabRef::Method(f) => slab.method(*f).clone(),
                         };
-                        PairTerm::Symcross(a, Arc::new(l1.get(*v).clone()))
+                        PairTerm::Symcross(a, share(*v))
                     }
                     SymPairTerm::MVar(v) => PairTerm::MVar(*v),
                 })

@@ -9,11 +9,11 @@
 //! the Figure 4 type system and every caller sees.
 //!
 //! The level-2 solver keeps its thousands of intermediate `m` variables
-//! in a private layout, `PairRows`: a sorted sparse list of
-//! `Arc`-shared, copy-on-write rows that stores each pair once. Only the
-//! values callers read are turned into [`PairSet`]s (DESIGN.md §17).
+//! in a private layout, `PairRows`: one arena of bit rows per solve, with
+//! a sorted sparse directory per variable, storing each pair once. Only
+//! the values callers read are turned into [`PairSet`]s (DESIGN.md §17).
 //!
-//! All mutating operations report whether they changed the set, which is
+//! Mutating operations report whether they changed the set, which is
 //! what the fixed-point solvers key on.
 
 use fx10_syntax::Label;
@@ -385,49 +385,129 @@ fn bit_indices(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// A bit row of [`PairRows`], shared by pointer between the variables
-/// that hold it and copied on its first write.
-type Row = Arc<[u64]>;
+/// A row of a [`PairRows`] arena, by index.
+type RowId = u32;
 
-/// The level-2 solver's private pair-set storage.
+/// The owner of a row that some variable adopted: no variable writes it
+/// in place any more.
+const SHARED: u32 = u32::MAX;
+
+/// Where the words or-ed into a row come from: a solved label set, or
+/// another row of the same arena.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Words(&'a [u64]),
+    Row(RowId),
+}
+
+/// The level-2 solver's private pair-set storage: the values of every
+/// variable of one solve.
 ///
 /// A value denotes the *symmetric closure* of its stored bits. Each pair
 /// is stored once, in the row that received it first: `Lcross(l, S)`
 /// writes only row `l`, and `symcross(A, B)` only the rows of its smaller
-/// side. Rows sit in a list sorted by label, holding only non-empty rows,
-/// and are shared copy-on-write, so a union adopts a row it lacks by
-/// pointer and skips one it already covers.
+/// side. All rows sit in one arena of fixed-stride rows named by `u32`
+/// ids, and each variable keeps a directory of its non-empty rows as
+/// `(label, row)`, sorted by label. A union adopts a row it lacks by
+/// copying its id, and skips a row with the same id or one it already
+/// covers.
 ///
-/// Change reports are exact for the symmetric relation: a new bit
-/// `(a, b)` counts only if `(b, a)` is not stored, and checking stops at
-/// the first bit that counts. The solvers therefore see the same changes,
-/// and report the same passes and evaluations, as with a dense
-/// [`PairSet`].
-#[derive(Debug, Clone, Default)]
+/// Owner rule: a row is written in place only by the variable that
+/// allocated it, and only until another variable adopts it. Any other
+/// write copies the row to a fresh one owned by the writer, so a write
+/// never shows through another variable's directory.
+///
+/// Change reports: each operation takes the caller's `changed` flag and
+/// sets it if the symmetric relation grew. A new bit `(a, b)` counts only
+/// if `(b, a)` is not stored, checked before the write, and checking
+/// stops at the first bit that counts. While the flag is false the report
+/// is therefore exact, the same as a dense [`PairSet`] gives. Once it is
+/// set, nothing is checked; the bits are still written.
+#[derive(Debug, Clone)]
 pub(crate) struct PairRows {
-    rows: Vec<(u32, Row)>,
+    universe: usize,
+    /// Words per row.
+    stride: usize,
+    /// Row `r` is `words[r * stride..][..stride]`.
+    words: Vec<u64>,
+    /// Per row: the variable that allocated it, or [`SHARED`].
+    owner: Vec<u32>,
+    /// Per variable: `(label, row)` for each non-empty row, by label.
+    dirs: Vec<Vec<(u32, RowId)>>,
 }
 
 impl PairRows {
-    fn find(&self, l: usize) -> Result<usize, usize> {
-        self.rows.binary_search_by_key(&(l as u32), |&(k, _)| k)
+    /// `n_vars` empty values over `universe` labels.
+    pub(crate) fn new(universe: usize, n_vars: usize) -> PairRows {
+        PairRows {
+            universe,
+            stride: word_count(universe),
+            words: Vec::new(),
+            owner: Vec::new(),
+            dirs: vec![Vec::new(); n_vars],
+        }
     }
 
-    /// Is bit `(a, b)` stored? One-sided: the mirror is not consulted.
-    fn stored(&self, a: usize, b: usize) -> bool {
-        self.find(a)
-            .is_ok_and(|i| self.rows[i].1[b / 64] & (1 << (b % 64)) != 0)
+    fn row(&self, r: RowId) -> &[u64] {
+        &self.words[r as usize * self.stride..][..self.stride]
     }
 
-    /// Would storing `words` in row `l`, whose current bits are `row`,
-    /// add a pair to the symmetric relation? Checked before the write, so
-    /// a new diagonal bit finds no mirror and counts.
-    fn grows(&self, l: usize, row: Option<&[u64]>, words: &[u64]) -> bool {
+    /// Appends a row holding `src`, owned by variable `v`.
+    fn alloc(&mut self, v: u32, src: Src) -> RowId {
+        let id = RowId::try_from(self.owner.len()).expect("an arena holds fewer than 2^32 rows");
+        match src {
+            Src::Words(w) => self.words.extend_from_slice(w),
+            Src::Row(r) => {
+                let at = r as usize * self.stride;
+                self.words.extend_from_within(at..at + self.stride);
+            }
+        }
+        self.owner.push(v);
+        id
+    }
+
+    /// `row(r) ∪= src` for variable `v`: in place if `v` owns `r`, else
+    /// on a fresh copy that `v` owns. Returns the row holding the result.
+    fn or_into(&mut self, v: u32, r: RowId, src: Src) -> RowId {
+        let r = if self.owner[r as usize] == v {
+            r
+        } else {
+            self.alloc(v, Src::Row(r))
+        };
+        let (st, at) = (self.stride, r as usize * self.stride);
+        match src {
+            Src::Words(w) => or_words(&mut self.words[at..at + st], w),
+            Src::Row(s) => {
+                debug_assert_ne!(s, r, "unions skip equal ids");
+                let from = s as usize * st;
+                if at < from {
+                    let (lo, hi) = self.words.split_at_mut(from);
+                    or_words(&mut lo[at..at + st], &hi[..st]);
+                } else {
+                    let (lo, hi) = self.words.split_at_mut(at);
+                    or_words(&mut hi[..st], &lo[from..from + st]);
+                }
+            }
+        }
+        r
+    }
+
+    /// Is bit `(a, b)` stored in the rows of `dir`? One-sided: the mirror
+    /// is not consulted.
+    fn stored(&self, dir: &[(u32, RowId)], a: usize, b: usize) -> bool {
+        find(dir, a).is_ok_and(|i| self.row(dir[i].1)[b / 64] & (1 << (b % 64)) != 0)
+    }
+
+    /// Would storing `words` in row `l` of `dir`, currently `row`, add a
+    /// pair to the symmetric relation? Checked before the write, so a new
+    /// diagonal bit finds no mirror and counts.
+    fn grows(&self, dir: &[(u32, RowId)], l: usize, row: Option<RowId>, words: &[u64]) -> bool {
+        let row = row.map(|r| self.row(r));
         words.iter().enumerate().any(|(wi, &w)| {
             let mut new = w & !row.map_or(0, |r| r[wi]);
             while new != 0 {
                 let b = wi * 64 + new.trailing_zeros() as usize;
-                if !self.stored(b, l) {
+                if !self.stored(dir, b, l) {
                     return true;
                 }
                 new &= new - 1;
@@ -436,112 +516,128 @@ impl PairRows {
         })
     }
 
-    /// `row(l) ∪= words` for the stored row `rows[i]` of label `l`,
-    /// copying it first if it is shared; sets `*changed` if the symmetric
-    /// relation grew (checking only while it is still false).
-    fn or_at(&mut self, i: usize, l: usize, words: &[u64], changed: &mut bool) {
-        let row = &self.rows[i].1;
-        if is_subset(words, row) {
-            return;
-        }
-        if !*changed {
-            *changed = self.grows(l, Some(row), words);
-        }
-        for (r, w) in Arc::make_mut(&mut self.rows[i].1).iter_mut().zip(words) {
-            *r |= w;
-        }
-    }
-
-    /// `row(l) ∪= words`, creating the row if absent; sets `*changed` as
-    /// [`PairRows::or_at`] does.
-    fn or_row(&mut self, l: usize, words: &[u64], changed: &mut bool) {
-        match self.find(l) {
-            Ok(i) => self.or_at(i, l, words, changed),
+    /// `row(l) ∪= words` in variable `v`, creating the row if absent.
+    fn or_row(&mut self, v: usize, l: usize, words: &[u64], changed: &mut bool) {
+        match find(&self.dirs[v], l) {
+            Ok(i) => {
+                let r = self.dirs[v][i].1;
+                if is_subset(words, self.row(r)) {
+                    return;
+                }
+                if !*changed {
+                    *changed = self.grows(&self.dirs[v], l, Some(r), words);
+                }
+                self.dirs[v][i].1 = self.or_into(v as u32, r, Src::Words(words));
+            }
             Err(i) => {
                 if words.iter().all(|&w| w == 0) {
                     return;
                 }
                 if !*changed {
-                    *changed = self.grows(l, None, words);
+                    *changed = self.grows(&self.dirs[v], l, None, words);
                 }
-                self.rows.insert(i, (l as u32, Arc::from(words)));
+                let r = self.alloc(v as u32, Src::Words(words));
+                self.dirs[v].insert(i, (l as u32, r));
             }
         }
     }
 
-    /// `self ∪= Lcross(l, set)`; returns true if the relation grew.
-    pub(crate) fn add_lcross(&mut self, l: Label, set: &LabelSet) -> bool {
-        let mut changed = false;
-        self.or_row(l.index(), set.words(), &mut changed);
-        changed
+    /// `value(v) ∪= Lcross(l, set)`.
+    pub(crate) fn add_lcross(&mut self, v: usize, l: Label, set: &LabelSet, changed: &mut bool) {
+        self.or_row(v, l.index(), set.words(), changed);
     }
 
-    /// `self ∪= symcross(a, b)`; returns true if the relation grew.
-    pub(crate) fn add_symcross(&mut self, a: &LabelSet, b: &LabelSet) -> bool {
+    /// `value(v) ∪= symcross(a, b)`.
+    pub(crate) fn add_symcross(
+        &mut self,
+        v: usize,
+        a: &LabelSet,
+        b: &LabelSet,
+        changed: &mut bool,
+    ) {
         let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut changed = false;
         for l in small.iter() {
-            self.or_row(l.index(), big.words(), &mut changed);
+            self.or_row(v, l.index(), big.words(), changed);
         }
-        changed
     }
 
-    /// `self ∪= other`; returns true if the relation grew.
-    pub(crate) fn union_with(&mut self, other: &PairRows) -> bool {
-        let mut changed = false;
-        let mut adopted: Vec<(u32, Row)> = Vec::new();
+    /// `value(dst) ∪= value(src)` for distinct variables.
+    pub(crate) fn union_with(&mut self, dst: usize, src: usize, changed: &mut bool) {
+        debug_assert_ne!(dst, src);
+        let mut dir = std::mem::take(&mut self.dirs[dst]);
+        // Adopted rows are pushed after the first `base` entries, which
+        // stay sorted for the change checks until the final merge.
+        let base = dir.len();
         let mut i = 0;
-        for (l, orow) in &other.rows {
-            while i < self.rows.len() && self.rows[i].0 < *l {
+        // By index: the loop body writes the arena.
+        for k in 0..self.dirs[src].len() {
+            let (l, s) = self.dirs[src][k];
+            while i < base && dir[i].0 < l {
                 i += 1;
             }
-            if i < self.rows.len() && self.rows[i].0 == *l {
-                if !Arc::ptr_eq(&self.rows[i].1, orow) {
-                    self.or_at(i, *l as usize, orow, &mut changed);
+            if i < base && dir[i].0 == l {
+                let r = dir[i].1;
+                if r == s || is_subset(self.row(s), self.row(r)) {
+                    continue;
                 }
+                if !*changed {
+                    *changed = self.grows(&dir[..base], l as usize, Some(r), self.row(s));
+                }
+                dir[i].1 = self.or_into(dst as u32, r, Src::Row(s));
             } else {
-                if !changed {
-                    changed = self.grows(*l as usize, None, orow);
+                if !*changed {
+                    *changed = self.grows(&dir[..base], l as usize, None, self.row(s));
                 }
-                adopted.push((*l, Arc::clone(orow)));
+                self.owner[s as usize] = SHARED;
+                dir.push((l, s));
             }
         }
-        if !adopted.is_empty() {
+        if dir.len() > base {
             // Two sorted runs: the stable sort merges them in linear time.
-            self.rows.extend(adopted);
-            self.rows.sort_by_key(|&(k, _)| k);
+            dir.sort_by_key(|&(k, _)| k);
         }
-        changed
+        self.dirs[dst] = dir;
     }
 
-    /// Heap bytes of `values`: each one's row directory, plus each
-    /// distinct row (words and `Arc` counters) once, by pointer.
-    pub(crate) fn shared_bytes(values: &[PairRows]) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0;
-        for v in values {
-            total += std::mem::size_of::<PairRows>()
-                + v.rows.capacity() * std::mem::size_of::<(u32, Row)>();
-            for (_, row) in &v.rows {
-                if seen.insert(Arc::as_ptr(row) as *const u64) {
-                    total += row.len() * 8 + 2 * std::mem::size_of::<usize>();
-                }
-            }
-        }
-        total
+    /// Heap bytes of the store: every arena row once, however many
+    /// variables hold it (rows a copy replaced included), its owner, and
+    /// each variable's directory.
+    pub(crate) fn bytes(&self) -> usize {
+        self.owner.len() * (self.stride * 8 + std::mem::size_of::<u32>())
+            + self
+                .dirs
+                .iter()
+                .map(|d| {
+                    std::mem::size_of::<Vec<(u32, RowId)>>()
+                        + d.len() * std::mem::size_of::<(u32, RowId)>()
+                })
+                .sum::<usize>()
     }
 
-    /// The denoted symmetric relation as a dense [`PairSet`] over `n`
-    /// labels.
-    pub(crate) fn to_pair_set(&self, n: usize) -> PairSet {
-        let mut out = PairSet::empty(n);
-        for (l, row) in &self.rows {
-            out.or_row(*l as usize, row);
+    /// The symmetric relation variable `v` denotes, as a dense
+    /// [`PairSet`].
+    pub(crate) fn to_pair_set(&self, v: usize) -> PairSet {
+        let mut out = PairSet::empty(self.universe);
+        for &(l, r) in &self.dirs[v] {
+            let row = self.row(r);
+            out.or_row(l as usize, row);
             for b in bit_indices(row) {
-                out.set_bit(b, *l as usize);
+                out.set_bit(b, l as usize);
             }
         }
         out
+    }
+}
+
+/// Position of label `l`'s row in a sorted directory.
+fn find(dir: &[(u32, RowId)], l: usize) -> Result<usize, usize> {
+    dir.binary_search_by_key(&(l as u32), |&(k, _)| k)
+}
+
+/// `a ∪= b` over equal-length word slices.
+fn or_words(a: &mut [u64], b: &[u64]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x |= y;
     }
 }
 
@@ -664,9 +760,26 @@ mod tests {
         assert!(!m.row_intersects(l(2), &LabelSet::from_labels(10, [l(5)])));
     }
 
-    /// One random operation on three [`PairRows`] variables: `(kind, dst,
-    /// src, l, a, b)` — Lcross(l, a), symcross(a, b), or `dst ∪= src`.
+    /// One random operation on three variables: `(kind, dst, src, l, a,
+    /// b)` — Lcross(l, a), symcross(a, b), or `dst ∪= src`.
     type Op = (u8, usize, usize, u32, Vec<u32>, Vec<u32>);
+
+    /// Universes around the word boundaries.
+    const UNIVERSES: [usize; 5] = [1, 63, 64, 65, 130];
+
+    fn ops() -> impl proptest::Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (
+                0u8..3,
+                0usize..3,
+                0usize..3,
+                0u32..200,
+                proptest::collection::vec(0u32..200, 0..6),
+                proptest::collection::vec(0u32..200, 0..6),
+            ),
+            1..40,
+        )
+    }
 
     /// Maps a raw draw into `0..n`, half the time into a small hot range
     /// so that mirrors and overlaps are common.
@@ -679,42 +792,74 @@ mod tests {
         LabelSet::from_labels(n, raws.iter().map(|&r| label_in(n, r)))
     }
 
+    /// Applies `op` to the store with the change flag starting at
+    /// `changed` and to the dense reference; returns both flags, or
+    /// `None` for a union of a variable with itself (never generated).
+    fn apply(
+        op: &Op,
+        n: usize,
+        store: &mut PairRows,
+        dense: &mut [PairSet],
+        mut changed: bool,
+    ) -> Option<(bool, bool)> {
+        let (kind, dst, src, lab, a, b) = op;
+        let (a, b) = (set_in(n, a), set_in(n, b));
+        let want = match kind {
+            0 => {
+                let lab = label_in(n, *lab);
+                store.add_lcross(*dst, lab, &a, &mut changed);
+                dense[*dst].add_lcross(lab, &a)
+            }
+            1 => {
+                store.add_symcross(*dst, &a, &b, &mut changed);
+                dense[*dst].add_symcross(&a, &b)
+            }
+            _ if dst == src => return None,
+            _ => {
+                store.union_with(*dst, *src, &mut changed);
+                let other = dense[*src].clone();
+                dense[*dst].union_with(&other)
+            }
+        };
+        Some((changed, want))
+    }
+
     proptest::proptest! {
         #[test]
-        fn pair_rows_match_the_dense_reference(
-            ops in proptest::collection::vec(
-                (
-                    0u8..3,
-                    0usize..3,
-                    0usize..3,
-                    0u32..200,
-                    proptest::collection::vec(0u32..200, 0..6),
-                    proptest::collection::vec(0u32..200, 0..6),
-                ),
-                1..40,
-            )
-        ) {
-            for n in [1usize, 63, 64, 65, 130] {
-                let mut rows = vec![PairRows::default(); 3];
+        fn pair_rows_match_the_dense_reference(ops in ops()) {
+            for n in UNIVERSES {
+                let mut store = PairRows::new(n, 3);
                 let mut dense = vec![PairSet::empty(n); 3];
-                for (kind, dst, src, lab, a, b) in &ops as &[Op] {
-                    let (a, b) = (set_in(n, a), set_in(n, b));
-                    let (got, want) = match kind {
-                        0 => {
-                            let lab = label_in(n, *lab);
-                            (rows[*dst].add_lcross(lab, &a), dense[*dst].add_lcross(lab, &a))
-                        }
-                        1 => (rows[*dst].add_symcross(&a, &b), dense[*dst].add_symcross(&a, &b)),
-                        _ if dst == src => continue,
-                        _ => {
-                            let other = rows[*src].clone();
-                            let dense_other = dense[*src].clone();
-                            (rows[*dst].union_with(&other), dense[*dst].union_with(&dense_other))
-                        }
+                for op in &ops {
+                    let Some((got, want)) = apply(op, n, &mut store, &mut dense, false) else {
+                        continue;
                     };
                     proptest::prop_assert_eq!(got, want, "n = {}", n);
+                    for (v, d) in dense.iter().enumerate() {
+                        proptest::prop_assert_eq!(&store.to_pair_set(v), d, "n = {}", n);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_set_change_flag_skips_only_the_report(ops in ops(), cut in 0usize..40) {
+            for n in UNIVERSES {
+                let mut exact = PairRows::new(n, 3);
+                let mut flagged = PairRows::new(n, 3);
+                let (mut d1, mut d2) = (vec![PairSet::empty(n); 3], vec![PairSet::empty(n); 3]);
+                for (i, op) in ops.iter().enumerate() {
+                    apply(op, n, &mut exact, &mut d1, false);
+                    let Some((got, _)) = apply(op, n, &mut flagged, &mut d2, i >= cut) else {
+                        continue;
+                    };
+                    proptest::prop_assert!(got || i < cut, "a set flag stays set");
                     for v in 0..3 {
-                        proptest::prop_assert_eq!(rows[v].to_pair_set(n), dense[v].clone(), "n = {}", n);
+                        proptest::prop_assert_eq!(
+                            flagged.to_pair_set(v),
+                            exact.to_pair_set(v),
+                            "n = {}, op {}", n, i
+                        );
                     }
                 }
             }
@@ -723,39 +868,56 @@ mod tests {
 
     #[test]
     fn write_after_adopting_a_row_leaves_the_source_alone() {
-        let n = 130;
-        let mut src = PairRows::default();
-        src.add_lcross(l(3), &LabelSet::from_labels(n, [l(4), l(64)]));
-        let mut dst = PairRows::default();
-        assert!(dst.union_with(&src));
-        assert!(
-            Arc::ptr_eq(&dst.rows[0].1, &src.rows[0].1),
-            "row adopted by pointer"
-        );
-        // A pointer-equal row is skipped; a mirror of a stored pair is no change.
-        assert!(!dst.union_with(&src));
-        assert!(!dst.add_lcross(l(64), &LabelSet::singleton(n, l(3))));
-        // Writing the adopted row copies it first.
-        assert!(dst.add_lcross(l(3), &LabelSet::singleton(n, l(129))));
+        let (n, src, dst) = (130, 0, 1);
+        let mut s = PairRows::new(n, 2);
+        let mut changed = false;
+        s.add_lcross(src, l(3), &LabelSet::singleton(n, l(4)), &mut changed);
+        assert!(changed);
+        let own = s.dirs[src][0].1;
+        s.add_lcross(src, l(3), &LabelSet::singleton(n, l(64)), &mut false);
         assert_eq!(
-            src.to_pair_set(n),
-            lcross(n, l(3), &LabelSet::from_labels(n, [l(4), l(64)]))
+            s.dirs[src][0].1, own,
+            "the allocating variable writes in place"
         );
-        assert!(dst.to_pair_set(n).contains(l(129), l(3)));
-        assert_eq!(dst.to_pair_set(n).len(), 3);
+        let mut changed = false;
+        s.union_with(dst, src, &mut changed);
+        assert!(changed);
+        assert_eq!(s.dirs[dst][0].1, own, "row adopted by id");
+        // An id-equal row is skipped; a mirror of a stored pair is no change.
+        let mut changed = false;
+        s.union_with(dst, src, &mut changed);
+        s.add_lcross(dst, l(64), &LabelSet::singleton(n, l(3)), &mut changed);
+        assert!(!changed);
+        // Once adopted, a write copies the row, whichever side writes.
+        let mut changed = false;
+        s.add_lcross(dst, l(3), &LabelSet::singleton(n, l(129)), &mut changed);
+        assert!(changed);
+        assert_ne!(s.dirs[dst][0].1, own);
+        s.add_lcross(src, l(3), &LabelSet::singleton(n, l(5)), &mut false);
+        assert_ne!(s.dirs[src][0].1, own, "the owner lost in-place writes");
+        let row = |ls: &[u32]| lcross(n, l(3), &LabelSet::from_labels(n, ls.iter().map(|&i| l(i))));
+        assert_eq!(s.to_pair_set(src), row(&[4, 5, 64]));
+        assert_eq!(s.to_pair_set(dst), row(&[4, 64, 129]));
     }
 
     #[test]
     fn shared_rows_are_counted_once() {
         let n = 640;
-        let mut a = PairRows::default();
-        a.add_lcross(l(1), &LabelSet::from_labels(n, [l(2), l(600)]));
-        let mut b = PairRows::default();
-        b.union_with(&a);
-        let one = PairRows::shared_bytes(std::slice::from_ref(&a));
-        let both = PairRows::shared_bytes(&[a.clone(), b]);
-        // The second variable adds only its directory, not a second row.
-        assert!(both - one < 640 / 8, "{one} -> {both}");
+        let mut s = PairRows::new(n, 2);
+        s.add_lcross(
+            0,
+            l(1),
+            &LabelSet::from_labels(n, [l(2), l(600)]),
+            &mut false,
+        );
+        let one = s.bytes();
+        s.union_with(1, 0, &mut false);
+        let both = s.bytes();
+        // The second variable adds a directory entry, not a second row.
+        assert!(both - one < n / 8, "{one} -> {both}");
+        // A write through the adopted row copies it, and the copy counts.
+        s.add_lcross(1, l(1), &LabelSet::singleton(n, l(3)), &mut false);
+        assert!(s.bytes() - both >= n / 8, "{both} -> {}", s.bytes());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use crate::sets::{LabelSet, PairRows, PairSet, SharedLabelSet};
 use fx10_robust::{BudgetMeter, Exhaustion, Fx10Error, Stop};
 use fx10_syntax::Label;
+use std::sync::Arc;
 
 /// A level-1 (or Slabels) set variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,10 +97,21 @@ impl SetSolution {
     pub fn bytes(&self) -> usize {
         self.values.iter().map(|s| s.bytes()).sum()
     }
+
+    /// Hands out values as [`SharedLabelSet`]s, copying each variable's
+    /// set once, on its first request; the simplified level-2 terms that
+    /// name one variable share its set.
+    pub fn sharer(&self) -> impl FnMut(SetVar) -> SharedLabelSet + '_ {
+        let mut shared: Vec<Option<SharedLabelSet>> = vec![None; self.values.len()];
+        move |v| {
+            shared[v.index()]
+                .get_or_insert_with(|| Arc::new(self.get(v).clone()))
+                .clone()
+        }
+    }
 }
 
-fn eval_set_constraint(c: &SetConstraint, values: &mut [LabelSet]) -> bool {
-    let mut changed = false;
+fn eval_set_constraint(c: &SetConstraint, values: &mut [LabelSet], mut changed: bool) -> bool {
     for t in &c.terms {
         match t {
             SetTerm::Const(s) => {
@@ -175,13 +187,11 @@ pub struct PairSystem {
 
 /// The least solution of a [`PairSystem`] plus solver statistics.
 ///
-/// Values stay in the solver's private shared sparse layout
-/// (`sets::PairRows`); [`PairSolution::get`] turns one into a dense
-/// [`PairSet`] on demand.
+/// Values stay in the solver's private arena layout (`sets::PairRows`);
+/// [`PairSolution::get`] turns one into a dense [`PairSet`] on demand.
 #[derive(Debug, Clone)]
 pub struct PairSolution {
-    universe: usize,
-    values: Vec<PairRows>,
+    values: PairRows,
     /// Round-robin passes (naive) or 0 (worklist).
     pub passes: usize,
     /// Individual constraint evaluations.
@@ -194,40 +204,26 @@ pub struct PairSolution {
 impl PairSolution {
     /// Value of a variable, as a fresh dense symmetric [`PairSet`].
     pub fn get(&self, v: PairVar) -> PairSet {
-        self.values[v.index()].to_pair_set(self.universe)
+        self.values.to_pair_set(v.index())
     }
 
-    /// Total heap bytes of all values: every variable's row directory,
-    /// plus each distinct row once, however many variables share it.
+    /// Total heap bytes of all values: every row of the solve's arena
+    /// once, however many variables share it, plus each variable's row
+    /// directory.
     pub fn bytes(&self) -> usize {
-        PairRows::shared_bytes(&self.values)
+        self.values.bytes()
     }
 }
 
-fn eval_pair_constraint(c: &PairConstraint, values: &mut [PairRows]) -> bool {
-    let mut changed = false;
+fn eval_pair_constraint(c: &PairConstraint, values: &mut PairRows, mut changed: bool) -> bool {
+    let lhs = c.lhs.index();
     for t in &c.terms {
         match t {
-            PairTerm::Lcross(l, s) => {
-                changed |= values[c.lhs.index()].add_lcross(*l, s);
-            }
-            PairTerm::Symcross(a, b) => {
-                changed |= values[c.lhs.index()].add_symcross(a, b);
-            }
-            PairTerm::MVar(v) => {
-                if *v == c.lhs {
-                    continue;
-                }
-                let (a, b) = (c.lhs.index(), v.index());
-                let (lo, hi) = (a.min(b), a.max(b));
-                let (left, right) = values.split_at_mut(hi);
-                let (lhs, rhs) = if a < b {
-                    (&mut left[lo], &right[0])
-                } else {
-                    (&mut right[0], &left[lo])
-                };
-                changed |= lhs.union_with(rhs);
-            }
+            PairTerm::Lcross(l, s) => values.add_lcross(lhs, *l, s, &mut changed),
+            PairTerm::Symcross(a, b) => values.add_symcross(lhs, a, b, &mut changed),
+            // x ⊇ x is vacuous.
+            PairTerm::MVar(v) if v.index() == lhs => {}
+            PairTerm::MVar(v) => values.union_with(lhs, v.index(), &mut changed),
         }
     }
     changed
@@ -255,9 +251,12 @@ impl SolverKind {
     ) -> Result<SetSolution, Fx10Error> {
         let mut values = vec![LabelSet::empty(sys.universe); sys.n_vars];
         let run = match self {
-            SolverKind::Naive => {
-                iterate_naive(&sys.constraints, &mut values, eval_set_constraint, meter)?
-            }
+            SolverKind::Naive => iterate_naive(
+                &sys.constraints,
+                &mut values[..],
+                eval_set_constraint,
+                meter,
+            )?,
             SolverKind::Worklist => {
                 let reads = |c: &SetConstraint| {
                     c.terms
@@ -270,7 +269,8 @@ impl SolverKind {
                 };
                 iterate_worklist(
                     &sys.constraints,
-                    &mut values,
+                    &mut values[..],
+                    sys.n_vars,
                     |c| c.lhs.index(),
                     reads,
                     eval_set_constraint,
@@ -292,7 +292,7 @@ impl SolverKind {
         sys: &PairSystem,
         meter: &mut BudgetMeter,
     ) -> Result<PairSolution, Fx10Error> {
-        let mut values = vec![PairRows::default(); sys.n_vars];
+        let mut values = PairRows::new(sys.universe, sys.n_vars);
         let run = match self {
             SolverKind::Naive => {
                 iterate_naive(&sys.constraints, &mut values, eval_pair_constraint, meter)?
@@ -310,6 +310,7 @@ impl SolverKind {
                 iterate_worklist(
                     &sys.constraints,
                     &mut values,
+                    sys.n_vars,
                     |c| c.lhs.index(),
                     reads,
                     eval_pair_constraint,
@@ -318,7 +319,6 @@ impl SolverKind {
             }
         };
         Ok(PairSolution {
-            universe: sys.universe,
             values,
             passes: run.passes,
             evals: run.evals,
@@ -336,10 +336,15 @@ struct Run {
 
 /// Round-robin passes over all constraints until a full pass changes
 /// nothing (that final pass is counted).
-fn iterate_naive<C, V>(
+///
+/// `eval(c, values, changed)` applies one constraint and returns whether
+/// the pass has changed so far: `changed` is the pass's flag before it.
+/// Once a pass has changed, an evaluation need not report exactly, since
+/// the pass's outcome is settled; the values it writes are the same.
+fn iterate_naive<C, S: ?Sized>(
     constraints: &[C],
-    values: &mut [V],
-    eval: impl Fn(&C, &mut [V]) -> bool,
+    values: &mut S,
+    eval: impl Fn(&C, &mut S, bool) -> bool,
     meter: &mut BudgetMeter,
 ) -> Result<Run, Fx10Error> {
     let mut passes = 0usize;
@@ -358,7 +363,7 @@ fn iterate_naive<C, V>(
                 Err(stop @ Stop::Cancelled) => return Err(stop.into()),
             }
             evals += 1;
-            changed |= eval(c, values);
+            changed = eval(c, values, changed);
         }
         if !changed {
             break;
@@ -372,17 +377,19 @@ fn iterate_naive<C, V>(
 }
 
 /// Seeds every constraint, then re-evaluates only the constraints whose
-/// right-hand-side variables (`reads`) changed. Reports zero passes.
-fn iterate_worklist<C, V>(
+/// right-hand-side variables (`reads`) changed; every evaluation reports
+/// its change exactly. Reports zero passes.
+fn iterate_worklist<C, S: ?Sized>(
     constraints: &[C],
-    values: &mut [V],
+    values: &mut S,
+    n_vars: usize,
     lhs: impl Fn(&C) -> usize,
     reads: impl Fn(&C) -> Vec<usize>,
-    eval: impl Fn(&C, &mut [V]) -> bool,
+    eval: impl Fn(&C, &mut S, bool) -> bool,
     meter: &mut BudgetMeter,
 ) -> Result<Run, Fx10Error> {
     // deps[v] = constraints whose rhs mentions v.
-    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); values.len()];
+    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); n_vars];
     for (ci, c) in constraints.iter().enumerate() {
         for v in reads(c) {
             deps[v].push(ci as u32);
@@ -404,7 +411,7 @@ fn iterate_worklist<C, V>(
         on_queue[ci as usize] = false;
         let c = &constraints[ci as usize];
         evals += 1;
-        if eval(c, values) {
+        if eval(c, values, false) {
             for &d in &deps[lhs(c)] {
                 if !on_queue[d as usize] {
                     on_queue[d as usize] = true;
@@ -441,8 +448,7 @@ pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
     SolverKind::Naive
         .solve_pair(sys, &mut BudgetMeter::unlimited())
         .unwrap_or_else(|_| PairSolution {
-            universe: sys.universe,
-            values: Vec::new(),
+            values: PairRows::new(sys.universe, sys.n_vars),
             passes: 0,
             evals: 0,
             exhausted: Some(Exhaustion::SolverIterations),
@@ -452,7 +458,6 @@ pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn c(labels: &[u32]) -> SharedLabelSet {
         Arc::new(LabelSet::from_labels(16, labels.iter().map(|&l| Label(l))))

@@ -23,13 +23,13 @@ use crate::condensed::{CBlock, CFuncId, CNodeKind, CProgram};
 use fx10_core::analysis::{AnalysisStats, SolverKind};
 use fx10_core::sets::{LabelSet, PairSet, SharedLabelSet};
 use fx10_core::solver::{
-    PairConstraint, PairSystem, PairTerm, PairVar, SetConstraint, SetSolution, SetSystem, SetTerm,
-    SetVar,
+    PairConstraint, PairSolution, PairSystem, PairTerm, PairVar, SetConstraint, SetSolution,
+    SetSystem, SetTerm, SetVar,
 };
 use fx10_core::Mode;
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, Fx10Error, Stop};
 use fx10_syntax::Label;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A symbolic level-2 term for the condensed form.
 #[derive(Debug, Clone)]
@@ -57,8 +57,11 @@ pub struct CAsyncSite {
 pub struct CondensedAnalysis {
     /// Analysis mode.
     pub mode: Mode,
-    /// `M_i` per method.
-    pub m_methods: Vec<PairSet>,
+    /// The level-2 solution; `M_i` is variable `n + i`.
+    l2: PairSolution,
+    n: usize,
+    /// `M_i` per method, materialised from `l2` on first read.
+    m_methods: Vec<OnceLock<PairSet>>,
     /// `O_i` per method.
     pub o_methods: Vec<LabelSet>,
     /// Main method index.
@@ -75,7 +78,13 @@ pub struct CondensedAnalysis {
 impl CondensedAnalysis {
     /// `M` of the main method — the program's MHP approximation.
     pub fn mhp(&self) -> &PairSet {
-        &self.m_methods[self.main.index()]
+        self.m_method(self.main)
+    }
+
+    /// `M_i` of a method, materialised from the level-2 solution on
+    /// first read.
+    pub fn m_method(&self, f: CFuncId) -> &PairSet {
+        self.m_methods[f.index()].get_or_init(|| self.l2.get(PairVar((self.n + f.index()) as u32)))
     }
 
     /// May labels `a` and `b` happen in parallel?
@@ -525,6 +534,7 @@ pub fn analyze_condensed_budgeted(
     let mut l2_sorted = std::mem::take(&mut g.l2);
     l2_sorted.sort_by_key(|(lhs, _)| g.rank(lhs.index(), n));
     g.l2 = l2_sorted;
+    let mut share = l1.sharer();
     let l2_sys = PairSystem {
         n_vars: n + u,
         universe: n,
@@ -536,10 +546,8 @@ pub fn analyze_condensed_budgeted(
                 terms: terms
                     .iter()
                     .map(|t| match t {
-                        SymTerm::Lcross(l, v) => PairTerm::Lcross(*l, Arc::new(l1.get(*v).clone())),
-                        SymTerm::SymcrossConst(c, v) => {
-                            PairTerm::Symcross(c.clone(), Arc::new(l1.get(*v).clone()))
-                        }
+                        SymTerm::Lcross(l, v) => PairTerm::Lcross(*l, share(*v)),
+                        SymTerm::SymcrossConst(c, v) => PairTerm::Symcross(c.clone(), share(*v)),
                         SymTerm::MVar(v) => PairTerm::MVar(*v),
                     })
                     .collect(),
@@ -566,7 +574,9 @@ pub fn analyze_condensed_budgeted(
         .or(meter.exhaustion());
     Ok(CondensedAnalysis {
         mode,
-        m_methods: (0..u).map(|i| l2.get(PairVar((n + i) as u32))).collect(),
+        l2,
+        n,
+        m_methods: vec![OnceLock::new(); u],
         o_methods: (0..u)
             .map(|i| l1.get(SetVar((2 * n + i) as u32)).clone())
             .collect(),
@@ -864,7 +874,10 @@ mod tests {
         ]);
         let a = analyze_condensed(&p, Mode::ContextSensitive, SolverKind::Naive);
         let b = analyze_condensed(&p, Mode::ContextSensitive, SolverKind::Worklist);
-        assert_eq!(a.m_methods, b.m_methods);
+        for f in 0..p.method_count() {
+            let f = CFuncId(f as u32);
+            assert_eq!(a.m_method(f), b.m_method(f));
+        }
         assert_eq!(a.o_methods, b.o_methods);
     }
 }

@@ -156,3 +156,33 @@ fn typecheck_rejects_perturbed_environments() {
     let broken = TypeEnv::new(methods);
     assert!(!typecheck(&p, &broken));
 }
+
+/// Theorem 4 on every checked-in program: the `type_env()` read back
+/// from each solver's solution, one `M_i` per method, equals the least
+/// typing, and that typing typechecks.
+#[test]
+fn type_env_equals_the_least_typing_on_every_fixture() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/programs");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("programs/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "fx10"))
+        // `bad_*` fixtures exist to fail the parser.
+        .filter(|p| !p.file_name().unwrap().to_string_lossy().starts_with("bad_"))
+        .collect();
+    files.sort();
+    assert!(
+        files.len() >= 10,
+        "fixture sweep looks too small: {files:?}"
+    );
+    for path in files {
+        let src = std::fs::read_to_string(&path).expect("fixture readable");
+        let p = fx10::syntax::Program::parse(&src).expect("checked-in fixtures parse");
+        let (env, _) = infer_types(&p);
+        assert!(typecheck(&p, &env), "{path:?}");
+        for solver in [SolverKind::Naive, SolverKind::Worklist] {
+            let a = analyze_with(&p, Mode::ContextSensitive, solver);
+            assert_eq!(env, a.type_env(), "{path:?} ({solver:?})");
+        }
+    }
+}

@@ -4,7 +4,7 @@
 
 use fx10::analysis::analysis::SolverKind;
 use fx10::analysis::{analyze, Mode};
-use fx10::frontend::{analyze_condensed, async_pairs_condensed, parse};
+use fx10::frontend::{analyze_condensed, async_pairs_condensed, parse, CFuncId};
 use fx10::syntax::Program;
 
 /// A program expressible both as FX10 and as X10-Lite; the pair structure
@@ -117,7 +117,10 @@ def main() {
 
     // Naive and worklist agree on the condensed pipeline too.
     let wl = analyze_condensed(&p, Mode::ContextSensitive, SolverKind::Worklist);
-    assert_eq!(cs.m_methods, wl.m_methods);
+    for f in 0..p.method_count() {
+        let f = CFuncId(f as u32);
+        assert_eq!(cs.m_method(f), wl.m_method(f), "M_{}", f.0);
+    }
     assert_eq!(cs.o_methods, wl.o_methods);
 }
 
