@@ -3,16 +3,17 @@
 //! Execution of FX10 programs: every way to *run* a program, as opposed
 //! to analyzing it, lives here.
 //!
-//! Three engines share one [`RunReport`] and one vector-clock race
+//! Two engines share one [`RunReport`] and one vector-clock race
 //! detector ([`detect`]):
 //!
-//! * [`run_parallel`] — a std-only work-stealing scheduler (per-worker
-//!   deques, help-first `finish` latches, granularity
+//! * [`sched`] — the one executor: a std-only work-stealing scheduler
+//!   (per-worker deques, help-first `finish` latches, granularity
 //!   control, panic isolation) executing `async` bodies on a real
-//!   thread crew;
-//! * [`run_elision`] — sequential elision, the classic fork-join
-//!   correctness oracle: for race-free programs every parallel run must
-//!   reproduce its array state and step count byte-for-byte;
+//!   thread crew ([`run_parallel`]). Sequential elision
+//!   ([`run_elision`]), the classic fork-join correctness oracle, is a
+//!   configuration of it: one worker on the calling thread with every
+//!   `async` inlined. For race-free programs every parallel run must
+//!   reproduce elision's array state and step count byte-for-byte;
 //! * [`replay`] — the single-path walker over a clock-carrying mirror
 //!   of the execution tree: [`run_scheduled`] follows a [`Scheduler`]
 //!   policy (`fx10 run --sched`), [`replay_detect`] replays explorer
@@ -26,21 +27,19 @@
 
 #![warn(missing_docs)]
 pub mod detect;
-pub mod elide;
 pub mod replay;
 pub mod sched;
 
 pub use detect::{DetectedRace, Detector, VClock};
-pub use elide::run_elision;
 pub use replay::{replay_detect, run_scheduled, Scheduler};
-pub use sched::{run_parallel, RtConfig};
+pub use sched::{run_elision, run_parallel, RtConfig};
 
 use fx10_robust::Exhaustion;
 use fx10_semantics::LabelPair;
 use std::collections::BTreeSet;
 
-/// The deepest nesting any engine enters: `exec` recursion in the
-/// elision and crew engines, execution-tree depth in the walker. Past it
+/// The deepest nesting any engine enters: `exec` recursion on the crew
+/// (elision included), execution-tree depth in the walker. Past it
 /// a run stops with [`Exhaustion::Nesting`] (exit 3) instead of
 /// overflowing the native stack on unbounded recursion such as
 /// `def f() { f(); }`.
@@ -51,7 +50,7 @@ pub const MAX_NESTING: usize = 2048;
 pub struct RunReport {
     /// Final contents of the shared array.
     pub array: Vec<i64>,
-    /// Executed instructions for the elision and crew engines (identical
+    /// Executed instructions on the crew, elision included (identical
     /// across schedules for race-free programs; the currency of the
     /// elision oracle); transitions for the walker.
     pub steps: u64,

@@ -619,7 +619,7 @@ mod tests {
             "def main() { finish { async { a[0] = 1; } async { a[1] = 1; } } a[2] = a[0] + 1; }";
         let p = Program::parse(src).unwrap();
         let serial =
-            crate::elide::run_elision(&p, &[], u64::MAX, Budget::unlimited(), &CancelToken::new())
+            crate::run_elision(&p, &[], u64::MAX, Budget::unlimited(), &CancelToken::new())
                 .unwrap();
         // Any schedule of a race-free program ends in the serial state;
         // exercise a few prefixes (after the finish step the body leaf

@@ -1,7 +1,9 @@
-//! The work-stealing parallel engine: FX10 programs on real threads.
+//! The runtime's one executor: FX10 programs on a work-stealing crew,
+//! and sequential elision as the same crew at one worker with every
+//! `async` inlined.
 //!
 //! The shape follows the MPL scheduler signature (`push`/`pop`/`steal`,
-//! `finish` as a scoped join) and the PR 2 crew patterns:
+//! `finish` as a scoped join) and the explorer's crew patterns:
 //!
 //! * **`async`** pushes a [`Task`] — the body statement, a fresh
 //!   activity id and forked clock, and the enclosing [`Scope`] — onto
@@ -17,9 +19,17 @@
 //!   then waits *helping* — running other tasks while the latch is up —
 //!   so a crew of N workers never deadlocks on nested scopes.
 //! * **Granularity** — `grain > 0` inlines any `async` whose body has
-//!   at most `grain` instructions into the spawning activity (still a
-//!   fresh activity id and fork for the detector, so race detection is
-//!   unaffected).
+//!   at most `grain` instructions into the spawning activity: a fresh
+//!   activity id and forked clock, run at once, its final clock joined
+//!   into the enclosing finish's accumulator, so race detection is
+//!   unaffected. Below the grain the serial code is just a branch of
+//!   the scheduler, as in MPL's `parallelFor granularity`.
+//! * **Sequential elision** ([`run_elision`]) is the crew at one worker
+//!   with `grain = usize::MAX`: every `async` runs inline, depth-first,
+//!   and every `finish` is its body plus a join — the classic fork-join
+//!   oracle, **for race-free programs any parallel run must produce
+//!   exactly this array state and step count**. A one-worker crew runs
+//!   on the calling thread; larger crews spawn every worker.
 //! * **Panic isolation** — each task runs under `catch_unwind`; a latch
 //!   guard decrements the scope's counter during unwind, so a panicking
 //!   async can never leave a `finish` waiting forever. The first panic
@@ -28,16 +38,20 @@
 //!
 //! The shared array is a `Vec<AtomicI64>` with relaxed ordering — FX10
 //! races are *detected*, not prevented, and individual cell accesses
-//! must still be tear-free. Steps count executed instructions in a
-//! shared counter (same accounting as the elision engine, so race-free
-//! programs report byte-identical step totals); the stop flag, cancel
-//! token, deadline and step caps are polled on a stride. Each worker
-//! counts its `exec` recursion depth and stops the crew with
-//! [`Exhaustion::Nesting`] at [`MAX_NESTING`].
+//! must still be tear-free. Steps count *executed instructions* — one
+//! per `skip`, assignment, `async`, `finish` and `call`, and one per
+//! `while` guard evaluation — in a shared counter, so every schedule of
+//! a race-free program reports the same total. Budgets, cancellation
+//! and the stop flag go through the explorer's [`SharedMeter`]; the
+//! step caps are charged per instruction and cancel and deadline polled
+//! on a stride. Each worker counts its `exec` recursion depth and stops
+//! the crew with [`Exhaustion::Nesting`] at [`MAX_NESTING`].
 
 use crate::detect::{Detector, VClock};
 use crate::{RunReport, MAX_NESTING};
-use fx10_robust::{panic_message, Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error};
+use fx10_robust::{
+    panic_message, Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, SharedMeter, Stop,
+};
 use fx10_semantics::ArrayState;
 use fx10_syntax::{Expr, Label, Program, Stmt};
 use std::collections::VecDeque;
@@ -55,7 +69,8 @@ pub struct RtConfig {
     /// schedules, identical final states for race-free programs.
     pub seed: u64,
     /// Inline `async` bodies of at most this many instructions
-    /// (0 disables granularity control: every async is a task).
+    /// (0 disables granularity control: every async is a task;
+    /// `usize::MAX` inlines every async, as elision does).
     pub grain: usize,
     /// Cap on executed instructions.
     pub max_steps: u64,
@@ -161,16 +176,15 @@ struct Engine<'a> {
     cells: Vec<AtomicI64>,
     detector: Detector,
     deques: Vec<Mutex<VecDeque<Task<'a>>>>,
-    budget: Budget,
-    cancel: &'a CancelToken,
+    /// Budget, cancellation, the first exhaustion and the crew's stop
+    /// flag.
+    meter: SharedMeter,
     faults: &'a FaultPlan,
     grain: usize,
     max_steps: u64,
     next_tid: AtomicU32,
     steps: AtomicU64,
-    stop: AtomicBool,
     cancelled: AtomicBool,
-    exhausted: Mutex<Option<Exhaustion>>,
     panicked: Mutex<Option<(usize, String)>>,
     root_done: AtomicBool,
     root_completed: AtomicBool,
@@ -181,37 +195,32 @@ struct Engine<'a> {
 type Go = Result<(), ()>;
 
 impl<'a> Engine<'a> {
-    fn trip(&self, e: Exhaustion) {
-        self.exhausted.lock().unwrap().get_or_insert(e);
-        self.stop.store(true, Ordering::Release);
+    /// Stops the crew with exhaustion `e` (the first one recorded wins).
+    fn trip(&self, e: Exhaustion) -> Go {
+        self.meter.note_exhaustion(e);
+        Err(())
     }
 
+    /// Polls cancellation and the deadline.
     fn poll(&self) -> Go {
-        if self.cancel.is_cancelled() {
-            self.cancelled.store(true, Ordering::Release);
-            self.stop.store(true, Ordering::Release);
-            return Err(());
-        }
-        if self.budget.deadline_exceeded() {
-            self.trip(Exhaustion::Deadline);
-            return Err(());
-        }
-        Ok(())
+        self.meter.checkpoint().map_err(|stop| {
+            if stop == Stop::Cancelled {
+                self.cancelled.store(true, Ordering::Release);
+            }
+        })
     }
 
     /// Charges one executed instruction and polls the stop conditions.
     fn charge(&self) -> Go {
-        if self.stop.load(Ordering::Relaxed) {
+        if self.meter.is_stopped() {
             return Err(());
         }
         let n = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
         if n > self.max_steps {
-            self.trip(Exhaustion::Steps);
-            return Err(());
+            return self.trip(Exhaustion::Steps);
         }
-        if self.budget.max_iters.is_some_and(|cap| n > cap) {
-            self.trip(Exhaustion::SolverIterations);
-            return Err(());
+        if self.meter.budget().max_iters.is_some_and(|cap| n > cap) {
+            return self.trip(Exhaustion::SolverIterations);
         }
         if n.is_multiple_of(POLL_STRIDE) {
             self.poll()?;
@@ -241,8 +250,7 @@ impl<'a> Engine<'a> {
         use fx10_syntax::InstrKind::*;
         // An `Err` stops the crew, so early returns leave `depth` as is.
         if ctx.depth == MAX_NESTING {
-            self.trip(Exhaustion::Nesting);
-            return Err(());
+            return self.trip(Exhaustion::Nesting);
         }
         ctx.depth += 1;
         for ins in s.instrs() {
@@ -303,7 +311,7 @@ impl<'a> Engine<'a> {
     fn wait_scope(&self, scope: &Scope, ctx: &mut Wctx) -> Go {
         let mut idle = 0u64;
         while scope.pending.load(Ordering::Acquire) > 0 {
-            if self.stop.load(Ordering::Relaxed) {
+            if self.meter.is_stopped() {
                 return Err(());
             }
             if let Some(task) = self.grab(ctx) {
@@ -384,7 +392,7 @@ impl<'a> Engine<'a> {
         };
         let mut idle = 0u64;
         loop {
-            if self.root_done.load(Ordering::Acquire) || self.stop.load(Ordering::Acquire) {
+            if self.root_done.load(Ordering::Acquire) || self.meter.is_stopped() {
                 return;
             }
             match first.take().or_else(|| self.grab(&mut ctx)) {
@@ -396,7 +404,7 @@ impl<'a> Engine<'a> {
                         Err(payload) => {
                             let message = panic_message(payload.as_ref());
                             self.panicked.lock().unwrap().get_or_insert((w, message));
-                            self.stop.store(true, Ordering::Release);
+                            self.meter.request_stop();
                             return;
                         }
                     }
@@ -419,7 +427,8 @@ impl<'a> Engine<'a> {
 
 /// Runs `p` on the work-stealing crew.
 ///
-/// Outcome precedence matches the explorer: worker panic
+/// A one-worker crew runs on the calling thread; larger crews spawn
+/// every worker. Outcome precedence matches the explorer: worker panic
 /// ([`Fx10Error::WorkerPanicked`], exit 4) > cancellation > budget
 /// exhaustion (report with `completed: false`) > completion.
 pub fn run_parallel(
@@ -437,16 +446,13 @@ pub fn run_parallel(
         cells: init.cells().iter().map(|&v| AtomicI64::new(v)).collect(),
         detector: Detector::new(init.cells().len()),
         deques: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-        budget,
-        cancel,
+        meter: SharedMeter::new(budget, cancel.clone()),
         faults,
         grain: cfg.grain,
         max_steps: cfg.max_steps,
         next_tid: AtomicU32::new(1),
         steps: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
         cancelled: AtomicBool::new(false),
-        exhausted: Mutex::new(None),
         panicked: Mutex::new(None),
         root_done: AtomicBool::new(false),
         root_completed: AtomicBool::new(false),
@@ -461,23 +467,28 @@ pub fn run_parallel(
         clock: root_clock,
         is_root: true,
     });
-    std::thread::scope(|s| {
-        let eng = &engine;
-        for w in 0..jobs {
-            let wseed = cfg
-                .seed
-                .wrapping_add((w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let first = root.take();
-            s.spawn(move || eng.worker(w, wseed, first));
-        }
-    });
+    let wseed = |w: usize| {
+        cfg.seed
+            .wrapping_add((w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    };
+    if jobs == 1 {
+        engine.worker(0, wseed(0), root.take());
+    } else {
+        std::thread::scope(|s| {
+            let eng = &engine;
+            for w in 0..jobs {
+                let first = root.take();
+                s.spawn(move || eng.worker(w, wseed(w), first));
+            }
+        });
+    }
     if let Some((worker, message)) = engine.panicked.into_inner().unwrap() {
         return Err(Fx10Error::WorkerPanicked { worker, message });
     }
     if engine.cancelled.load(Ordering::Acquire) {
         return Err(Fx10Error::Cancelled);
     }
-    let exhausted = engine.exhausted.into_inner().unwrap();
+    let exhausted = engine.meter.exhaustion();
     Ok(RunReport {
         array: engine
             .cells
@@ -492,10 +503,34 @@ pub fn run_parallel(
     })
 }
 
+/// Runs `p` serially under sequential elision, race detector on: the
+/// crew at one worker, on the calling thread, with every `async`
+/// inlined.
+///
+/// `max_steps` bounds executed instructions ([`Exhaustion::Steps`] when
+/// exceeded) and [`MAX_NESTING`] the recursion depth
+/// ([`Exhaustion::Nesting`]); `budget`'s iteration cap and deadline are
+/// honored as on any crew, and `cancel` unwinds with
+/// [`Fx10Error::Cancelled`].
+pub fn run_elision(
+    p: &Program,
+    input: &[i64],
+    max_steps: u64,
+    budget: Budget,
+    cancel: &CancelToken,
+) -> Result<RunReport, Fx10Error> {
+    let cfg = RtConfig {
+        jobs: 1,
+        seed: 0,
+        grain: usize::MAX,
+        max_steps,
+    };
+    run_parallel(p, input, &cfg, budget, cancel, &FaultPlan::none())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elide::run_elision;
     use fx10_robust::PanicFault;
     use std::time::Instant;
 
@@ -518,6 +553,46 @@ mod tests {
             &FaultPlan::none(),
         )
         .unwrap()
+    }
+
+    fn elide(src: &str) -> RunReport {
+        let p = Program::parse(src).unwrap();
+        run_elision(&p, &[], u64::MAX, Budget::unlimited(), &CancelToken::new()).unwrap()
+    }
+
+    #[test]
+    fn straight_line_program_computes_and_counts() {
+        let out = elide("def main() { a[0] = 1; a[1] = a[0] + 1; }");
+        assert!(out.completed);
+        assert_eq!(out.array, vec![1, 2]);
+        assert_eq!(out.steps, 2);
+        assert_eq!(out.activities, 1);
+        assert!(out.races.is_empty());
+    }
+
+    #[test]
+    fn racy_async_is_detected_even_serially() {
+        let out = elide("def main() { W1: async { a[0] = 1; } W2: a[0] = 2; }");
+        assert!(out.completed);
+        assert_eq!(out.races.len(), 1);
+        assert_eq!(out.activities, 2);
+    }
+
+    #[test]
+    fn finish_protects_the_continuation() {
+        let out = elide("def main() { finish { async { a[0] = 1; } } a[0] = 2; }");
+        assert!(out.completed);
+        assert!(out.races.is_empty());
+        assert_eq!(out.array, vec![2]);
+    }
+
+    #[test]
+    fn while_counts_each_guard_evaluation() {
+        // a[0]=1; guard true; body sets a[0]=0; guard false.
+        let out = elide("def main() { a[0] = 1; while (a[0] != 0) { a[0] = 0; } }");
+        assert!(out.completed);
+        // assign + guard + body assign + guard = 4.
+        assert_eq!(out.steps, 4);
     }
 
     const FORK_JOIN: &str = "def main() {
@@ -606,57 +681,61 @@ mod tests {
         assert_eq!(err.exit_code(), 4);
     }
 
+    /// Runs `p` under elision and on crews of one and two workers.
+    fn every_engine(
+        p: &Program,
+        max_steps: u64,
+        budget: Budget,
+        cancel: &CancelToken,
+    ) -> Vec<Result<RunReport, Fx10Error>> {
+        let mut out = vec![run_elision(p, &[], max_steps, budget, cancel)];
+        for jobs in [1, 2] {
+            let crew = RtConfig {
+                jobs,
+                max_steps,
+                ..RtConfig::default()
+            };
+            out.push(run_parallel(
+                p,
+                &[],
+                &crew,
+                budget,
+                cancel,
+                &FaultPlan::none(),
+            ));
+        }
+        out
+    }
+
     #[test]
-    fn cancel_and_deadline_stop_a_diverging_program() {
-        let src = "def main() { a[0] = 1; while (a[0] != 0) { S; } }";
-        let p = Program::parse(src).unwrap();
+    fn cancellation_unwinds_and_deadline_truncates() {
+        // Diverging loop: only cancellation or the deadline can stop it.
+        let p = Program::parse("def main() { a[0] = 1; while (a[0] != 0) { S; } }").unwrap();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = run_parallel(
-            &p,
-            &[],
-            &cfg(2, 0),
-            Budget::unlimited(),
-            &cancel,
-            &FaultPlan::none(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, Fx10Error::Cancelled));
+        for out in every_engine(&p, u64::MAX, Budget::unlimited(), &cancel) {
+            assert!(matches!(out, Err(Fx10Error::Cancelled)));
+        }
 
         let budget = Budget {
             deadline: Some(Instant::now() + Duration::from_millis(50)),
             ..Budget::unlimited()
         };
-        let out = run_parallel(
-            &p,
-            &[],
-            &cfg(2, 0),
-            budget,
-            &CancelToken::new(),
-            &FaultPlan::none(),
-        )
-        .unwrap();
-        assert!(!out.completed);
-        assert_eq!(out.exhausted, Some(Exhaustion::Deadline));
+        for out in every_engine(&p, u64::MAX, budget, &CancelToken::new()) {
+            let out = out.unwrap();
+            assert!(!out.completed);
+            assert_eq!(out.exhausted, Some(Exhaustion::Deadline));
+        }
     }
 
     #[test]
-    fn step_cap_truncates_like_the_elision_engine() {
+    fn step_cap_reports_steps_exhaustion() {
         let p = Program::parse("def main() { S1; S2; S3; S4; }").unwrap();
-        let out = run_parallel(
-            &p,
-            &[],
-            &RtConfig {
-                jobs: 1,
-                max_steps: 2,
-                ..RtConfig::default()
-            },
-            Budget::unlimited(),
-            &CancelToken::new(),
-            &FaultPlan::none(),
-        )
-        .unwrap();
-        assert!(!out.completed);
-        assert_eq!(out.exhausted, Some(Exhaustion::Steps));
+        for out in every_engine(&p, 2, Budget::unlimited(), &CancelToken::new()) {
+            let out = out.unwrap();
+            assert!(!out.completed);
+            assert_eq!(out.exhausted, Some(Exhaustion::Steps));
+            assert_eq!(out.steps, 3); // the third charge tripped
+        }
     }
 }

@@ -21,7 +21,8 @@
 //! - [`absint`] — the abstract-interpretation value analysis of the
 //!   shared array and its MHP guard-feasibility oracle.
 //! - [`runtime`] — every way to run a program: the work-stealing
-//!   scheduler, sequential elision, the vector-clock race detector, and
+//!   scheduler (sequential elision is its one-worker, all-inline
+//!   configuration), the vector-clock race detector, and
 //!   the single-path walker behind `fx10 run --sched` and witness replay.
 
 #![warn(missing_docs)]

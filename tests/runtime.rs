@@ -1,11 +1,15 @@
 //! The runtime's two differential oracles, executed for real.
 //!
 //! - **Sequential elision** (FX10's defining property, §2): for
-//!   race-free programs, dropping every `async`/`finish` and running
-//!   serially is *indistinguishable* from any parallel schedule. We run
-//!   the instrumented serial elider against the work-stealing runtime at
-//!   `jobs ∈ {1, 2, 8}` across many schedule seeds and demand identical
-//!   final arrays, step counts, and termination verdicts.
+//!   race-free programs, running every `async` inline, serially, is
+//!   *indistinguishable* from any parallel schedule. Elision is the
+//!   work-stealing crew at one worker with every `async` inlined, so we
+//!   run it against the crew at `jobs ∈ {1, 2, 8}` across many schedule
+//!   seeds and demand identical final arrays, step counts, and
+//!   termination verdicts: the result must not depend on the schedule.
+//!   Because both sides share one executor, elision's final array is
+//!   also checked against the single-path walker's leftmost run, an
+//!   engine that shares only the race detector with the crew.
 //! - **Dynamic ⊆ static** (Theorem 2 as an executable oracle): every
 //!   race pair the vector-clock detector observes on a real run must be
 //!   contained in the explorer's exact dynamic MHP and in the
@@ -61,6 +65,21 @@ fn par(p: &Program, jobs: usize, seed: u64) -> RunReport {
     .expect("parallel run must not fail on test programs")
 }
 
+/// The single-path walker's leftmost run. The walker shares only the race
+/// detector with the crew, and is itself checked against `successors`
+/// below; its `steps` count transitions, so only its array is comparable.
+fn leftmost(p: &Program) -> RunReport {
+    run_scheduled(
+        p,
+        &[],
+        &Scheduler::Leftmost,
+        STEP_CAP,
+        Budget::unlimited(),
+        &CancelToken::new(),
+    )
+    .expect("the walker must not fail on test programs")
+}
+
 fn statically_racy(p: &Program) -> bool {
     let cs = analyze(p);
     let acc = accesses(p);
@@ -108,6 +127,9 @@ fn race_free_fixtures_match_elision_across_jobs_and_seeds() {
         let serial = elide(&p);
         assert!(serial.completed, "{name} elision must complete");
         assert!(serial.races.is_empty(), "{name}: elision saw a race");
+        let walk = leftmost(&p);
+        assert!(walk.completed, "{name} walker must complete");
+        assert_eq!(walk.array, serial.array, "{name}: walker vs elision");
         for jobs in [1, 2, 8] {
             for seed in 0..16u64 {
                 let r = par(&p, jobs, seed);
@@ -264,6 +286,15 @@ proptest! {
         let racy = statically_racy(&p);
         let serial = elide(&p);
         let cs = analyze(&p);
+        if !racy && serial.completed {
+            let walk = leftmost(&p);
+            prop_assert!(walk.completed);
+            prop_assert_eq!(
+                &walk.array, &serial.array,
+                "race-free program: walker and elision diverged\n{}",
+                fx10::syntax::pretty::program(&p)
+            );
+        }
         for jobs in [2usize, 8] {
             for sseed in [0u64, 1, 5] {
                 let r = par(&p, jobs, sseed);
@@ -687,9 +718,9 @@ fn budget_and_cancel_are_honored_mid_run() {
     .expect("step exhaustion is a verdict, not an error");
     assert_eq!(r.exhausted, Some(Exhaustion::Steps));
 
-    // The serial elider honors the same knobs.
+    // Elision honors the same knobs.
     let err = run_elision(&p, &[], u64::MAX, Budget::unlimited(), &cancelled)
-        .expect_err("cancellation must stop the elider");
+        .expect_err("cancellation must stop elision");
     assert!(matches!(err, Fx10Error::Cancelled), "got {err}");
     let r = run_elision(&p, &[], 1_000, Budget::unlimited(), &CancelToken::new()).unwrap();
     assert_eq!(r.exhausted, Some(Exhaustion::Steps));
