@@ -450,6 +450,25 @@ fn corrupt_snapshot_fixtures_are_rejected_exit_2() {
     );
 }
 
+/// A format-version-1 snapshot (with its statement section and tree tag
+/// 1 = statement id) is refused by version, never decoded as the
+/// current `(label, tail)` layout.
+#[test]
+fn version_1_snapshots_are_rejected_exit_2() {
+    let mut bytes = std::fs::read(repo_root().join("programs/snap_example22.fxsnap")).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let path = temp_snap("v1");
+    std::fs::write(&path, bytes).unwrap();
+    let out = fx10(&["explore", "programs/example22.fx10", "--resume", &path]);
+    assert_eq!(code(&out), 2, "{out:?}");
+    assert!(
+        stderr(&out).contains("unsupported snapshot version 1"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// The checked-in valid snapshot resumes cleanly and reproduces the
 /// from-scratch exploration line for line.
 #[test]
@@ -865,6 +884,29 @@ fn unbounded_recursion_exits_3_in_every_run_mode() {
             );
         }
         std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Non-tail recursion grows the running statement by one instruction per
+/// call. Exploring it hits the default 200,000-state cap (exit 3,
+/// truncated) in well under a second: a call step conses the callee's
+/// labels onto the shared tail, so no step copies the statement.
+#[test]
+fn growing_statement_recursion_explores_to_the_state_cap_exit_3() {
+    let file = "programs/rec_tail_growth.fx10";
+    for argv in [
+        &["explore", file, "--jobs", "1"][..],
+        &["explore", file, "--jobs", "2"][..],
+        &["check", file][..],
+    ] {
+        let out = fx10(argv);
+        assert_eq!(code(&out), 3, "{argv:?}: {out:?}");
+        let s = stdout(&out);
+        assert!(
+            s.contains("200000 state(s)") || s.contains("(200000 states, truncated)"),
+            "{argv:?}: {s}"
+        );
+        assert!(s.contains("state budget exhausted"), "{argv:?}: {s}");
     }
 }
 

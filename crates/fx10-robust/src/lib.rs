@@ -12,7 +12,7 @@
 //! [`Fx10Error::WorkerPanicked`] instead of aborting the process.
 //! Partial results carry an [`Exhaustion`] provenance so callers can
 //! distinguish "complete" from "budget-cut" answers, and a [`FaultPlan`]
-//! lets the test harness inject panics, forced budget trips and
+//! lets the test harness inject panics, wedges, kills and
 //! adversarial scheduling to prove those paths actually work. The
 //! [`snapshot`] module holds the versioned, checksummed container that
 //! durable explorer checkpoints are written in.
@@ -527,15 +527,6 @@ impl SharedMeter {
     pub fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::SeqCst)
     }
-
-    /// Settles this shared meter's tick count into a single-threaded
-    /// [`BudgetMeter`] (after the crew has joined).
-    pub fn settle_into(&self, meter: &mut BudgetMeter) {
-        let _ = meter.charge(self.ticks());
-        if let Some(e) = self.exhaustion() {
-            meter.note_exhaustion(e);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -581,7 +572,7 @@ impl CancelToken {
 // ---------------------------------------------------------------------------
 
 /// A scripted fault for the parallel engines, used by the fault-injection
-/// harness to prove that panic isolation, budget trips and scheduling
+/// harness to prove that panic isolation, stalls, kills and scheduling
 /// perturbations all produce typed results rather than hangs or aborts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -589,9 +580,6 @@ pub struct FaultPlan {
     /// items (the panic is injected *inside* the worker's catch_unwind
     /// region, exactly like an organic bug would be).
     pub panic_worker: Option<PanicFault>,
-    /// Force the state budget to read as exhausted once this many states
-    /// have been visited, regardless of the real budget.
-    pub trip_states_after: Option<usize>,
     /// Make the parallel explorer drain its queue LIFO instead of FIFO —
     /// an adversarial schedule that changes discovery order but must not
     /// change any computed set.
@@ -634,15 +622,6 @@ impl FaultPlan {
     pub fn should_wedge(&self, worker: usize, processed: u64) -> bool {
         self.wedge_worker
             .is_some_and(|wf| wf.worker == worker && processed >= wf.after_states)
-    }
-
-    /// The effective state cap after applying a forced trip.
-    pub fn effective_max_states(&self, cap: Option<usize>) -> Option<usize> {
-        match (self.trip_states_after, cap) {
-            (Some(t), Some(c)) => Some(t.min(c)),
-            (Some(t), None) => Some(t),
-            (None, c) => c,
-        }
     }
 }
 
@@ -745,17 +724,12 @@ mod tests {
                 worker: 2,
                 after_states: 5,
             }),
-            trip_states_after: Some(100),
             adversarial_schedule: true,
             ..FaultPlan::none()
         };
         assert!(!plan.should_panic(1, 100));
         assert!(!plan.should_panic(2, 4));
         assert!(plan.should_panic(2, 5));
-        assert_eq!(plan.effective_max_states(None), Some(100));
-        assert_eq!(plan.effective_max_states(Some(50)), Some(50));
-        assert_eq!(plan.effective_max_states(Some(500)), Some(100));
-        assert_eq!(FaultPlan::none().effective_max_states(None), None);
 
         let wedge = FaultPlan {
             wedge_worker: Some(PanicFault {
@@ -815,17 +789,6 @@ mod tests {
         let m = SharedMeter::new(past, CancelToken::new());
         assert_eq!(m.checkpoint(), Err(Stop::Exhausted(Exhaustion::Deadline)));
         assert_eq!(m.exhaustion(), Some(Exhaustion::Deadline));
-    }
-
-    #[test]
-    fn shared_meter_settles_ticks_and_exhaustion_into_budget_meter() {
-        let shared = SharedMeter::new(Budget::unlimited(), CancelToken::new());
-        shared.charge_ticks(42);
-        shared.note_exhaustion(Exhaustion::Memory);
-        let mut meter = BudgetMeter::unlimited();
-        shared.settle_into(&mut meter);
-        assert_eq!(meter.iters(), 42);
-        assert_eq!(meter.exhaustion(), Some(Exhaustion::Memory));
     }
 
     #[test]

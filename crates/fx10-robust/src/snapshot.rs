@@ -11,13 +11,13 @@
 //! to a typed [`SnapshotError`], never a panic and never a silently
 //! wrong resume.
 //!
-//! ## Layout (version 1)
+//! ## Layout (version 2)
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //! 0       8     magic  b"FX10SNAP"
-//! 8       4     format version, u32 LE (currently 1)
+//! 8       4     format version, u32 LE (currently 2)
 //! 12      4     section count, u32 LE
 //! 16      ...   sections: { tag u32 LE, len u64 LE, payload }*
 //! end-8   8     FNV-1a-64 checksum of every preceding byte, LE
@@ -26,7 +26,10 @@
 //! All integers are little-endian. Sections are length-prefixed so
 //! unknown tags can be skipped by future readers; the trailing checksum
 //! covers the header and every section, so corruption anywhere in the
-//! file is detected.
+//! file is detected. The version changes whenever a section's payload
+//! changes meaning: version 2 dropped the explorer's statement section
+//! and made tree tag 1 a `(label, tail)` pair, which a version 1 file
+//! would otherwise be misread as.
 
 use crate::Fx10Error;
 use std::fmt;
@@ -35,7 +38,7 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"FX10SNAP";
 
 /// The current container format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit hash — the container checksum (and the fingerprint
 /// hash used by snapshot producers). Dependency-free, stable across

@@ -24,7 +24,8 @@
 //!   differential tests trust.
 //! - The **interned engine** ([`explore_parallel_durable`], and its
 //!   `jobs = 1` form [`explore_interned_budgeted`]) hash-conses every
-//!   statement, tree and array into 32-bit ids (see [`crate::intern`])
+//!   tree node (statements as label chains) and array into 32-bit ids
+//!   (see [`crate::intern`])
 //!   so a state is one packed `u64`, and drains the frontier with
 //!   *work-stealing* workers: each worker owns a deque (push/pop at the
 //!   back), steals the front half of a victim's deque when empty, and
@@ -227,56 +228,6 @@ pub fn explore_budgeted(
     budget: Budget,
     cancel: &CancelToken,
 ) -> Result<Exploration, Fx10Error> {
-    explore_budgeted_with_sink(p, input, config, budget, cancel, &mut |_, _| {})
-}
-
-/// One concrete observation for the abstract-interpretation differential
-/// gate: the array cells of a visited state together with that state's
-/// *front* labels (`FTlabels`, the next-executable instructions).
-///
-/// A sound value analysis must, for every sample, every front label `l`
-/// and every cell `d`, have `cells[d] ∈ γ(Env[l][d])`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrontSample {
-    /// The array state `A` of the visited state.
-    pub cells: Vec<i64>,
-    /// `FTlabels(T)` of the visited state's tree, sorted.
-    pub fronts: Vec<fx10_syntax::Label>,
-}
-
-/// [`explore_budgeted`] plus a per-state sampling hook: every state
-/// admitted to the visited set (the initial state included) is handed to
-/// `sink` as a [`FrontSample`]. Sampling covers exactly the states the
-/// returned [`Exploration`] counts, so on a truncated run the samples are
-/// the explored prefix — still sound to test containment against, since
-/// visited ⊆ reachable.
-pub fn explore_sampled(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    budget: Budget,
-    cancel: &CancelToken,
-    sink: &mut dyn FnMut(FrontSample),
-) -> Result<Exploration, Fx10Error> {
-    explore_budgeted_with_sink(p, input, config, budget, cancel, &mut |array, tree| {
-        let mut fronts: Vec<fx10_syntax::Label> =
-            crate::parallel::ftlabels(tree).into_iter().collect();
-        fronts.sort_unstable();
-        sink(FrontSample {
-            cells: array.cells().to_vec(),
-            fronts,
-        })
-    })
-}
-
-fn explore_budgeted_with_sink(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    budget: Budget,
-    cancel: &CancelToken,
-    sink: &mut dyn FnMut(&ArrayState, &Tree),
-) -> Result<Exploration, Fx10Error> {
     // A pre-cancelled token stops before any work; the in-flight poll
     // below only fires on the stride.
     cancel.check()?;
@@ -290,7 +241,6 @@ fn explore_budgeted_with_sink(
     let mut approx_bytes = init.approx_bytes();
     let mut visited: HashSet<State> = HashSet::new();
     let mut queue: VecDeque<State> = VecDeque::new();
-    sink(&init.array, &init.tree);
     visited.insert(init.clone());
     queue.push_back(init);
 
@@ -339,7 +289,6 @@ fn explore_budgeted_with_sink(
                 exhausted = Some(Exhaustion::Memory);
                 break 'bfs;
             }
-            sink(&next.array, &next.tree);
             visited.insert(next.clone());
             queue.push_back(next);
         }
@@ -369,6 +318,48 @@ fn explore_budgeted_with_sink(
         state_digests,
         digest_xor,
     })
+}
+
+/// One concrete observation for the abstract-interpretation differential
+/// gate: the array cells of a visited state together with that state's
+/// *front* labels (`FTlabels`, the next-executable instructions).
+///
+/// A sound value analysis must, for every sample, every front label `l`
+/// and every cell `d`, have `cells[d] ∈ γ(Env[l][d])`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrontSample {
+    /// The array state `A` of the visited state.
+    pub cells: Vec<i64>,
+    /// `FTlabels(T)` of the visited state's tree, sorted.
+    pub fronts: Vec<fx10_syntax::Label>,
+}
+
+/// [`explore_interned_budgeted`] plus a per-state sampling hook: once
+/// the run ends, every state admitted to the visited set (the initial
+/// state included) is handed to `sink` as a [`FrontSample`], in state-key
+/// order. Sampling covers exactly the states the returned
+/// [`Exploration`] counts, so on a truncated run the samples are the
+/// explored prefix — still sound to test containment against, since
+/// visited ⊆ reachable.
+pub fn explore_sampled(
+    p: &Program,
+    input: &[i64],
+    config: ExploreConfig,
+    budget: Budget,
+    cancel: &CancelToken,
+    sink: &mut dyn FnMut(FrontSample),
+) -> Result<Exploration, Fx10Error> {
+    explore_interned(
+        p,
+        input,
+        config,
+        1,
+        budget,
+        cancel,
+        &FaultPlan::none(),
+        Durability::default(),
+        Some(sink),
+    )
 }
 
 const SHARDS: usize = 64;
@@ -626,7 +617,7 @@ impl Engine<'_> {
             return;
         }
         scratch.clear();
-        stepper.successors(self.p, a, t, scratch);
+        stepper.successors(a, t, scratch);
         self.meter.charge_ticks(1);
         if scratch.is_empty() {
             self.deadlock_free.store(false, Ordering::Relaxed);
@@ -684,7 +675,7 @@ impl Engine<'_> {
     /// expanded ∪ frontier` holds at exit and at every checkpoint
     /// safepoint.
     fn worker(&self, id: usize, faults: &FaultPlan, mut first: Option<u64>) {
-        let mut stepper = self.interner.stepper();
+        let mut stepper = self.interner.stepper(self.p);
         let mut scratch = Vec::new();
         let mut processed = 0u64;
         loop {
@@ -950,10 +941,29 @@ pub fn explore_parallel_durable(
     faults: &FaultPlan,
     durability: Durability<'_>,
 ) -> Result<Exploration, Fx10Error> {
+    explore_interned(
+        p, input, config, threads, budget, cancel, faults, durability, None,
+    )
+}
+
+/// [`explore_parallel_durable`], handing every visited state to `sink`
+/// after the crew joins (see [`explore_sampled`]).
+#[allow(clippy::too_many_arguments)]
+fn explore_interned(
+    p: &Program,
+    input: &[i64],
+    config: ExploreConfig,
+    threads: usize,
+    budget: Budget,
+    cancel: &CancelToken,
+    faults: &FaultPlan,
+    durability: Durability<'_>,
+    sink: Option<&mut dyn FnMut(FrontSample)>,
+) -> Result<Exploration, Fx10Error> {
     cancel.check()?;
     let threads = threads.max(1);
-    let max_states = faults
-        .effective_max_states(budget.max_states)
+    let max_states = budget
+        .max_states
         .map_or(config.max_states, |b| b.min(config.max_states));
     let fingerprint = snapshot::fingerprint(p, input, &config);
 
@@ -996,7 +1006,7 @@ pub fn explore_parallel_durable(
                     .into(),
             });
         }
-        let (_smap, tmap, amap) = snap.restore(&engine.interner);
+        let (tmap, amap) = snap.restore(&engine.interner, p)?;
         let map_key = |k: u64| {
             let (a, t) = state_parts(k);
             state_key(ArrayId(amap[a.0 as usize]), TreeId(tmap[t.0 as usize]))
@@ -1110,7 +1120,7 @@ pub fn explore_parallel_durable(
     // drain), over the distinct tree ids. The visited set is exactly the
     // admitted states, resumed or fresh, so deriving the tree set from it
     // covers both uniformly.
-    let mut trees = TreeBits::with_capacity(engine.interner.counts().1);
+    let mut trees = TreeBits::with_capacity(engine.interner.counts().0);
     for shard in &engine.visited {
         for &k in lock_shard(shard).iter() {
             trees.insert(state_parts(k).1);
@@ -1118,9 +1128,6 @@ pub fn explore_parallel_durable(
     }
     let mhp = engine.interner.parallel_of_trees(trees);
 
-    // Both digests render every visited state. In tree-id order, states
-    // whose trees share subtrees render one after another, so the walks
-    // stay in cache.
     let visited_keys = || {
         let mut keys: Vec<u64> = Vec::with_capacity(engine.meter.states());
         for shard in &engine.visited {
@@ -1129,6 +1136,19 @@ pub fn explore_parallel_durable(
         keys.sort_unstable_by_key(|&k| k.rotate_left(32));
         keys
     };
+    if let Some(sink) = sink {
+        for k in visited_keys() {
+            let (a, t) = state_parts(k);
+            sink(FrontSample {
+                cells: engine.interner.cells(a).to_vec(),
+                fronts: engine.interner.ftlabels(t),
+            });
+        }
+    }
+
+    // Both digests render every visited state. In tree-id order, states
+    // whose trees share subtrees render one after another, so the walks
+    // stay in cache.
     let renderings = |keys: Vec<u64>| {
         let mut render = StateRenderer::new(&engine.interner);
         keys.into_iter().map(move |k| {

@@ -1,16 +1,26 @@
-//! Hash-consing interners for execution trees, statements and array
-//! states.
+//! Hash-consing interners for execution trees and array states.
 //!
 //! The exhaustive explorer's hot loop is dominated by deep-cloning and
 //! re-hashing execution trees `T ::= √ | ⟨s⟩ | T ▷ T | T ∥ T`. This
 //! module replaces those clones with *hash-consed ids*: every distinct
-//! statement, tree node and array value is stored exactly once and named
-//! by a dense 32-bit id ([`StmtId`], [`TreeId`], [`ArrayId`]), so
+//! tree node and array value is stored exactly once and named by a dense
+//! 32-bit id ([`TreeId`], [`ArrayId`]), so
 //!
 //! - equality and hashing of states are O(1) on a packed `u64` key,
 //! - a successor tree shares every unchanged subtree with its parent
 //!   (structural sharing — building `T₁' ▷ T₂` touches one node), and
 //! - per-tree results (`FTlabels`, `parallel`) can be memoized by id.
+//!
+//! ## Statements are label chains
+//!
+//! A statement is `s ::= i | i s`, and every instruction carries a
+//! program-unique label, so inside one program a statement *is* its
+//! sequence of labels. `⟨i k⟩` is the node [`TNode::Stm`]`(label, k)`
+//! whose tail `k` is [`DONE`] when `i` is the whole statement and
+//! another `Stm` node otherwise: `⟨i k⟩` steps to its tail node
+//! directly, and while-unrolling, call-inlining and spawned bodies cons
+//! a body's labels onto a tail. The instruction behind a label is read
+//! from the program, through a per-[`Stepper`] table.
 //!
 //! ## Canonical `∥` forms
 //!
@@ -37,12 +47,14 @@
 //! ## The per-worker stepper
 //!
 //! Successors are enumerated by a [`Stepper`], which each worker owns.
-//! It fronts the shared maps with two small direct-mapped caches: raw
-//! tree nodes `(tag, a, b)` → [`TreeId`] and `(array, assignment label)`
-//! → [`ArrayId`]. Both map to values that never change once interned,
-//! and only ids the interner has already published are stored, so a
-//! slot that now holds another key is simply overwritten, never
-//! invalidated.
+//! It holds the program's instructions indexed by label, and fronts the
+//! shared maps with two small direct-mapped caches: raw tree nodes
+//! `(tag, a, b)` → [`TreeId`] (statement nodes included, so consing a
+//! body onto a tail it has consed before costs only cache hits) and
+//! `(array, assignment label)` → [`ArrayId`]. Both map to values that
+//! never change once interned, and only ids the interner has already
+//! published are stored, so a slot that now holds another key is simply
+//! overwritten, never invalidated.
 
 use crate::hash::{id_hash, IdMap};
 use crate::parallel::LabelPair;
@@ -50,13 +62,10 @@ use crate::tree::Tree;
 use fx10_syntax::{Instr, InstrKind, Label, Program, Stmt};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// An interned statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StmtId(pub u32);
 
 /// An interned execution tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -133,7 +142,7 @@ impl<S: Default> Segments<S> {
     }
 }
 
-/// Packed `u64` values (tree nodes, statement tail links).
+/// Packed `u64` tree nodes.
 type U64Pages = Segments<AtomicU64>;
 
 impl U64Pages {
@@ -146,7 +155,7 @@ impl U64Pages {
     }
 }
 
-/// Owned values (statements, cell vectors).
+/// Owned cell vectors.
 type SlotPages<T> = Segments<OnceLock<T>>;
 
 impl<T> SlotPages<T> {
@@ -185,8 +194,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub enum TNode {
     /// `√`.
     Done,
-    /// `⟨s⟩`.
-    Stm(StmtId),
+    /// `⟨i k⟩`: the head instruction's label and the tail `k`, which is
+    /// [`DONE`] when the head is the whole statement and a `Stm` node
+    /// otherwise.
+    Stm(Label, TreeId),
     /// `T₁ ▷ T₂`.
     Seq(TreeId, TreeId),
     /// `T₁ ∥ T₂`.
@@ -208,16 +219,9 @@ fn unpack(v: u64) -> (u64, u32, u32) {
     (v & 3, ((v >> 2) & 0x7fff_ffff) as u32, (v >> 33) as u32)
 }
 
-/// The shared hash-consing interner: statements, trees and array states.
+/// The shared hash-consing interner: trees and array states.
 pub struct Interner {
     canonical: bool,
-
-    // Statements.
-    stmt_map: Vec<Mutex<IdMap<Stmt, u32>>>,
-    stmt_vals: SlotPages<Stmt>,
-    /// Tail links: 0 = unset, 1 = no tail, otherwise tail id + 2.
-    stmt_tails: U64Pages,
-    stmt_next: AtomicU32,
 
     // Trees (packed nodes).
     tree_map: Vec<Mutex<IdMap<u64, u32>>>,
@@ -228,13 +232,6 @@ pub struct Interner {
     array_map: Vec<Mutex<IdMap<Vec<i64>, u32>>>,
     array_vals: SlotPages<Vec<i64>>,
     array_next: AtomicU32,
-
-    /// `⟨s⟩ → ⟨s'⟩` derivations that concatenate statements (while-unroll
-    /// and call-inline), memoized by the source statement id.
-    unroll_cache: Vec<Mutex<IdMap<u32, u32>>>,
-    /// `async`/`finish` body statements, memoized by the instruction's
-    /// (program-unique) label.
-    spawn_cache: Vec<Mutex<IdMap<Label, u32>>>,
 }
 
 impl Interner {
@@ -244,81 +241,17 @@ impl Interner {
     pub fn new(canonical: bool) -> Self {
         let it = Interner {
             canonical,
-            stmt_map: (0..SHARDS).map(|_| Mutex::default()).collect(),
-            stmt_vals: SlotPages::new(),
-            stmt_tails: U64Pages::new(),
-            stmt_next: AtomicU32::new(0),
             tree_map: (0..SHARDS).map(|_| Mutex::default()).collect(),
             tree_nodes: U64Pages::new(),
             tree_next: AtomicU32::new(0),
             array_map: (0..SHARDS).map(|_| Mutex::default()).collect(),
             array_vals: SlotPages::new(),
             array_next: AtomicU32::new(0),
-            unroll_cache: (0..SHARDS).map(|_| Mutex::default()).collect(),
-            spawn_cache: (0..SHARDS).map(|_| Mutex::default()).collect(),
         };
         // Reserve id 0 for √ so `DONE` is a constant.
         let done = it.intern_node(pack(TAG_DONE, 0, 0));
         debug_assert_eq!(done, DONE);
         it
-    }
-
-    // -- statements ---------------------------------------------------------
-
-    /// Interns a statement (and, transitively, all its suffixes, so
-    /// [`Self::stmt_tail`] is an O(1) lookup).
-    pub fn intern_stmt(&self, s: &Stmt) -> StmtId {
-        if let Some(&id) = lock(&self.stmt_map[shard_of(s)]).get(s) {
-            return StmtId(id);
-        }
-        let instrs = s.instrs();
-        let mut tail: Option<u32> = None;
-        for k in (0..instrs.len()).rev() {
-            let suffix = s.suffix(k).expect("k < len");
-            tail = Some(self.intern_stmt_with_tail(suffix, tail));
-        }
-        StmtId(tail.expect("statements are non-empty"))
-    }
-
-    fn intern_stmt_with_tail(&self, s: Stmt, tail: Option<u32>) -> u32 {
-        let mut map = lock(&self.stmt_map[shard_of(&s)]);
-        if let Some(&id) = map.get(&s) {
-            return id;
-        }
-        let id = self.stmt_next.fetch_add(1, Ordering::Relaxed);
-        assert!(id < MAX_IDS, "statement interner capacity exceeded");
-        self.stmt_tails.set(id, tail.map_or(1, |t| t as u64 + 2));
-        self.stmt_vals.set(id, s.clone());
-        map.insert(s, id);
-        id
-    }
-
-    /// The interned statement's value.
-    pub fn stmt(&self, id: StmtId) -> &Stmt {
-        self.stmt_vals.get(id.0)
-    }
-
-    /// The statement after the head (`None` when the head is the whole
-    /// statement). O(1): suffixes are interned eagerly.
-    pub fn stmt_tail(&self, id: StmtId) -> Option<StmtId> {
-        match self.stmt_tails.get(id.0) {
-            0 => unreachable!("tail read before publication"),
-            1 => None,
-            t => Some(StmtId((t - 2) as u32)),
-        }
-    }
-
-    /// Re-interns a statement decoded from a snapshot as `head` followed
-    /// by the already-restored `tail` statement, preserving the O(1)
-    /// tail link. Snapshots store statements in interning order, so the
-    /// tail's id is always available before its referrer is restored.
-    pub fn restore_stmt(&self, head: Instr, tail: Option<StmtId>) -> StmtId {
-        let mut instrs = vec![head];
-        if let Some(t) = tail {
-            instrs.extend(self.stmt(t).instrs().iter().cloned());
-        }
-        let s = Stmt::new(instrs).expect("non-empty by construction");
-        StmtId(self.intern_stmt_with_tail(s, tail.map(|t| t.0)))
     }
 
     // -- trees --------------------------------------------------------------
@@ -335,9 +268,10 @@ impl Interner {
         TreeId(id)
     }
 
-    /// `⟨s⟩`.
-    pub fn stm(&self, s: StmtId) -> TreeId {
-        self.intern_node(pack(TAG_STM, s.0, 0))
+    /// `⟨i k⟩`: the instruction labelled `label` in front of the
+    /// statement node `tail` ([`DONE`] for none).
+    pub fn stm(&self, label: Label, tail: TreeId) -> TreeId {
+        self.intern_node(pack(TAG_STM, label.0, tail.0))
     }
 
     /// `T₁ ▷ T₂`.
@@ -361,7 +295,7 @@ impl Interner {
         let (tag, a, b) = unpack(self.tree_nodes.get(t.0));
         match tag {
             TAG_DONE => TNode::Done,
-            TAG_STM => TNode::Stm(StmtId(a)),
+            TAG_STM => TNode::Stm(Label(a), TreeId(b)),
             TAG_SEQ => TNode::Seq(TreeId(a), TreeId(b)),
             TAG_PAR => TNode::Par(TreeId(a), TreeId(b)),
             _ => unreachable!("2-bit tag"),
@@ -370,26 +304,32 @@ impl Interner {
 
     /// Structural total order on interned trees, mirroring the derived
     /// `Ord` on [`Tree`] exactly (`√ < ⟨s⟩ < ▷ < ∥`, then lexicographic
-    /// children; statements compare by their derived order). Because the
-    /// interner hash-conses, `a == b` iff the trees are structurally
-    /// equal, which short-circuits shared subtrees.
-    pub fn structural_cmp(&self, a: TreeId, b: TreeId) -> CmpOrdering {
-        if a == b {
-            return CmpOrdering::Equal;
-        }
-        match (self.node(a), self.node(b)) {
-            (TNode::Done, TNode::Done) => CmpOrdering::Equal,
-            (TNode::Done, _) => CmpOrdering::Less,
-            (_, TNode::Done) => CmpOrdering::Greater,
-            (TNode::Stm(x), TNode::Stm(y)) => self.stmt(x).cmp(self.stmt(y)),
-            (TNode::Stm(_), _) => CmpOrdering::Less,
-            (_, TNode::Stm(_)) => CmpOrdering::Greater,
-            (TNode::Seq(a1, a2), TNode::Seq(b1, b2)) | (TNode::Par(a1, a2), TNode::Par(b1, b2)) => {
-                self.structural_cmp(a1, b1)
-                    .then_with(|| self.structural_cmp(a2, b2))
+    /// children). Two statements compare by head label, then by tail
+    /// (`√` first, so a prefix sorts first): labels are program-unique,
+    /// so that is the derived order on `Stmt`. Because the interner
+    /// hash-conses, `a == b` iff the trees are structurally equal, which
+    /// short-circuits shared subtrees and tails. Tails and right
+    /// children are walked in a loop, not by recursion.
+    pub fn structural_cmp(&self, mut a: TreeId, mut b: TreeId) -> CmpOrdering {
+        loop {
+            if a == b {
+                return CmpOrdering::Equal;
             }
-            (TNode::Seq(..), TNode::Par(..)) => CmpOrdering::Less,
-            (TNode::Par(..), TNode::Seq(..)) => CmpOrdering::Greater,
+            (a, b) = match (self.node(a), self.node(b)) {
+                (TNode::Done, _) => return CmpOrdering::Less,
+                (_, TNode::Done) => return CmpOrdering::Greater,
+                (TNode::Stm(x, xs), TNode::Stm(y, ys)) if x == y => (xs, ys),
+                (TNode::Stm(x, _), TNode::Stm(y, _)) => return x.cmp(&y),
+                (TNode::Stm(..), _) => return CmpOrdering::Less,
+                (_, TNode::Stm(..)) => return CmpOrdering::Greater,
+                (TNode::Seq(a1, a2), TNode::Seq(b1, b2))
+                | (TNode::Par(a1, a2), TNode::Par(b1, b2)) => match self.structural_cmp(a1, b1) {
+                    CmpOrdering::Equal => (a2, b2),
+                    o => return o,
+                },
+                (TNode::Seq(..), TNode::Par(..)) => return CmpOrdering::Less,
+                (TNode::Par(..), TNode::Seq(..)) => return CmpOrdering::Greater,
+            };
         }
     }
 
@@ -398,10 +338,11 @@ impl Interner {
     pub fn intern_tree(&self, t: &Tree) -> TreeId {
         match t {
             Tree::Done => DONE,
-            Tree::Stm(s) => {
-                let sid = self.intern_stmt(s);
-                self.stm(sid)
-            }
+            Tree::Stm(s) => s
+                .instrs()
+                .iter()
+                .rev()
+                .fold(DONE, |k, i| self.stm(i.label, k)),
             Tree::Seq(a, b) => {
                 let (a, b) = (self.intern_tree(a), self.intern_tree(b));
                 self.seq(a, b)
@@ -413,21 +354,11 @@ impl Interner {
         }
     }
 
-    /// Reconstructs the cloned [`Tree`] (for rendering and debugging).
-    pub fn to_tree(&self, t: TreeId) -> Tree {
-        match self.node(t) {
-            TNode::Done => Tree::Done,
-            TNode::Stm(s) => Tree::Stm(self.stmt(s).clone()),
-            TNode::Seq(a, b) => Tree::seq(self.to_tree(a), self.to_tree(b)),
-            TNode::Par(a, b) => Tree::par(self.to_tree(a), self.to_tree(b)),
-        }
-    }
-
     /// Collapses the administrative `√`-elimination forms, exactly like
     /// [`Tree::normalized`], over interned nodes.
     pub fn normalized(&self, t: TreeId) -> TreeId {
         match self.node(t) {
-            TNode::Done | TNode::Stm(_) => t,
+            TNode::Done | TNode::Stm(..) => t,
             TNode::Seq(a, b) => {
                 let na = self.normalized(a);
                 let nb = self.normalized(b);
@@ -455,7 +386,7 @@ impl Interner {
     /// per occurrence, like [`Tree::node_count`]).
     pub fn node_count(&self, t: TreeId) -> usize {
         match self.node(t) {
-            TNode::Done | TNode::Stm(_) => 1,
+            TNode::Done | TNode::Stm(..) => 1,
             TNode::Seq(a, b) | TNode::Par(a, b) => 1 + self.node_count(a) + self.node_count(b),
         }
     }
@@ -482,32 +413,11 @@ impl Interner {
 
     // -- semantics ----------------------------------------------------------
 
-    /// A fresh [`Stepper`] over this interner, with empty caches. Each
-    /// worker owns one; its lifetime ties it to this interner.
-    pub fn stepper(&self) -> Stepper<'_> {
-        Stepper {
-            it: self,
-            nodes: Cache::new(),
-            assigns: Cache::new(),
-        }
-    }
-
-    fn derived_stmt(&self, from: StmtId, build: impl FnOnce() -> Stmt) -> StmtId {
-        if let Some(&id) = lock(&self.unroll_cache[from.0 as usize % SHARDS]).get(&from.0) {
-            return StmtId(id);
-        }
-        let id = self.intern_stmt(&build());
-        lock(&self.unroll_cache[from.0 as usize % SHARDS]).insert(from.0, id.0);
-        id
-    }
-
-    fn spawned_stmt(&self, label: Label, body: &Stmt) -> StmtId {
-        if let Some(&id) = lock(&self.spawn_cache[shard_of(&label)]).get(&label) {
-            return StmtId(id);
-        }
-        let id = self.intern_stmt(body);
-        lock(&self.spawn_cache[shard_of(&label)]).insert(label, id.0);
-        id
+    /// A fresh [`Stepper`] for `p` over this interner, with empty
+    /// caches. Each worker owns one; its lifetime ties it to this
+    /// interner and to `p`.
+    pub fn stepper<'a>(&'a self, p: &'a Program) -> Stepper<'a> {
+        Stepper::with_caches(self, p, Cache::new(), Cache::new())
     }
 
     // -- parallel(T) --------------------------------------------------------
@@ -525,7 +435,7 @@ impl Interner {
     /// its children's and crosses every `∥` node once into a label ×
     /// label bit matrix, which becomes the pair set at the end.
     pub fn parallel_of_trees(&self, trees: TreeBits) -> BTreeSet<LabelPair> {
-        let n = self.counts().1;
+        let n = self.counts().0;
         let mut seen = trees.0;
         seen.resize(n.div_ceil(64), 0);
         let mut labels = 0;
@@ -536,7 +446,7 @@ impl Interner {
                 todo &= !(1 << b);
                 match self.node(TreeId(w as u32 * 64 + b)) {
                     TNode::Done => {}
-                    TNode::Stm(s) => labels = labels.max(self.stmt(s).head().label.index() + 1),
+                    TNode::Stm(l, _) => labels = labels.max(l.index() + 1),
                     TNode::Seq(t1, _) => set_bit(&mut seen, t1.0),
                     TNode::Par(t1, t2) => {
                         set_bit(&mut seen, t1.0);
@@ -561,8 +471,8 @@ impl Interner {
                 let row = t * lw;
                 match self.node(TreeId(t as u32)) {
                     TNode::Done => {}
-                    TNode::Stm(s) => {
-                        let l = self.stmt(s).head().label.index();
+                    TNode::Stm(l, _) => {
+                        let l = l.index();
                         ft[row + l / 64] |= 1 << (l % 64);
                     }
                     // FTlabels(T₁ ▷ T₂) = FTlabels(T₁): the right side is
@@ -599,17 +509,33 @@ impl Interner {
             .collect()
     }
 
+    /// `FTlabels(T)`, sorted: the head labels of the statements reached
+    /// through `▷`-left and both `∥` children (equations 33–36).
+    pub(crate) fn ftlabels(&self, t: TreeId) -> Vec<Label> {
+        let (mut out, mut todo) = (Vec::new(), vec![t]);
+        while let Some(t) = todo.pop() {
+            match self.node(t) {
+                TNode::Done => {}
+                TNode::Stm(l, _) => out.push(l),
+                TNode::Seq(t1, _) => todo.push(t1),
+                TNode::Par(t1, t2) => todo.extend([t1, t2]),
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Renders an interned state exactly like the cloned explorer renders
     /// the corresponding canonical [`Tree`] state — the byte-comparable
     /// digest used by the differential oracle.
     pub fn render_state(&self, a: ArrayId, t: TreeId) -> String {
-        format!("{:?} ⊢ {}", self.cells(a), self.to_tree(t))
+        StateRenderer::new(self).render_state(a, t)
     }
 
-    /// Interner occupancy, for diagnostics: (statements, trees, arrays).
-    pub fn counts(&self) -> (usize, usize, usize) {
+    /// Interner occupancy, for diagnostics: (trees, arrays).
+    pub fn counts(&self) -> (usize, usize) {
         (
-            self.stmt_next.load(Ordering::Relaxed) as usize,
             self.tree_next.load(Ordering::Relaxed) as usize,
             self.array_next.load(Ordering::Relaxed) as usize,
         )
@@ -618,10 +544,9 @@ impl Interner {
 
 impl std::fmt::Debug for Interner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (s, t, a) = self.counts();
+        let (t, a) = self.counts();
         f.debug_struct("Interner")
             .field("canonical", &self.canonical)
-            .field("stmts", &s)
             .field("trees", &t)
             .field("arrays", &a)
             .finish()
@@ -676,8 +601,11 @@ impl Cache {
 /// the shard lock, and a hit on an assignment skips evaluating it,
 /// copying the cells and hashing them. Ids and enumeration order are
 /// exactly the uncached ones.
-pub struct Stepper<'i> {
-    it: &'i Interner,
+pub struct Stepper<'a> {
+    it: &'a Interner,
+    p: &'a Program,
+    /// Every instruction of `p`, indexed by label.
+    instrs: Vec<&'a Instr>,
     /// `pack(tag, a, b)` of a requested node → its interned id (the
     /// canonical one for `∥`).
     nodes: Cache,
@@ -685,7 +613,23 @@ pub struct Stepper<'i> {
     assigns: Cache,
 }
 
-impl<'i> Stepper<'i> {
+impl<'a> Stepper<'a> {
+    fn with_caches(it: &'a Interner, p: &'a Program, nodes: Cache, assigns: Cache) -> Stepper<'a> {
+        // Labels are dense and visited in order, so position = label.
+        let mut instrs = Vec::with_capacity(p.label_count());
+        p.for_each_instr(|_, i| {
+            assert_eq!(i.label.index(), instrs.len(), "labels are dense pre-order");
+            instrs.push(i);
+        });
+        Stepper {
+            it,
+            p,
+            instrs,
+            nodes,
+            assigns,
+        }
+    }
+
     fn node(&mut self, tag: u64, a: u32, b: u32) -> TreeId {
         let key = pack(tag, a, b);
         if let Some(id) = self.nodes.get(key) {
@@ -700,8 +644,13 @@ impl<'i> Stepper<'i> {
         id
     }
 
-    fn stm(&mut self, s: StmtId) -> TreeId {
-        self.node(TAG_STM, s.0, 0)
+    /// `⟨s . k⟩`: conses `s`'s labels onto the statement node `k`
+    /// ([`DONE`] for none), last label first.
+    fn cons(&mut self, s: &Stmt, k: TreeId) -> TreeId {
+        s.instrs()
+            .iter()
+            .rev()
+            .fold(k, |k, i| self.node(TAG_STM, i.label.0, k.0))
     }
 
     fn seq(&mut self, a: TreeId, b: TreeId) -> TreeId {
@@ -719,13 +668,7 @@ impl<'i> Stepper<'i> {
     /// instead of deep clones (and canonical `∥` re-assembly when the
     /// interner is canonical). A sub-step's successors are appended and
     /// then rewrapped in place.
-    pub fn successors(
-        &mut self,
-        p: &Program,
-        a: ArrayId,
-        t: TreeId,
-        out: &mut Vec<(ArrayId, TreeId)>,
-    ) {
+    pub fn successors(&mut self, a: ArrayId, t: TreeId, out: &mut Vec<(ArrayId, TreeId)>) {
         match self.it.node(t) {
             TNode::Done => {}
             TNode::Seq(t1, t2) => {
@@ -735,7 +678,7 @@ impl<'i> Stepper<'i> {
                 } else {
                     // Rule (2): step inside T₁.
                     let from = out.len();
-                    self.successors(p, a, t1, out);
+                    self.successors(a, t1, out);
                     for s in &mut out[from..] {
                         s.1 = self.seq(s.1, t2);
                     }
@@ -751,42 +694,42 @@ impl<'i> Stepper<'i> {
                 }
                 // Rule (5): step inside T₁.
                 let from = out.len();
-                self.successors(p, a, t1, out);
+                self.successors(a, t1, out);
                 for s in &mut out[from..] {
                     s.1 = self.par(s.1, t2);
                 }
                 // Rule (6): step inside T₂.
                 let from = out.len();
-                self.successors(p, a, t2, out);
+                self.successors(a, t2, out);
                 for s in &mut out[from..] {
                     s.1 = self.par(t1, s.1);
                 }
             }
-            TNode::Stm(s) => {
-                let next = self.step_stmt(p, a, s);
+            TNode::Stm(label, cont) => {
+                let next = self.step_stmt(a, t, label, cont);
                 out.push(next);
             }
         }
     }
 
-    /// Rules (7)–(14): the unique step of `⟨s⟩`, mirroring
-    /// [`crate::step::step_stmt`]. Derived statements (while-unroll,
-    /// call-inline, spawned bodies) are memoized in the interner, so each
-    /// concatenation is built and hashed once per distinct source
-    /// statement.
-    fn step_stmt(&mut self, p: &Program, a: ArrayId, s: StmtId) -> (ArrayId, TreeId) {
+    /// Rules (7)–(14): the unique step of `s = ⟨i k⟩`, mirroring
+    /// [`crate::step::step_stmt`]; `i` is labelled `label` and `k` is
+    /// `cont`. Unrolled loops, inlined calls and spawned bodies cons the
+    /// body's labels onto their tail through the node cache.
+    fn step_stmt(
+        &mut self,
+        a: ArrayId,
+        s: TreeId,
+        label: Label,
+        cont: TreeId,
+    ) -> (ArrayId, TreeId) {
         let it = self.it;
-        let head = it.stmt(s).head();
-        let cont = match it.stmt_tail(s) {
-            Some(k) => self.stm(k),
-            None => DONE,
-        };
-        match &head.kind {
+        match &self.instrs[label.index()].kind {
             InstrKind::Skip => (a, cont),
             InstrKind::Assign { idx, expr } => {
                 // The label names the instruction, so it fixes `idx` and
                 // `expr`.
-                let key = (u64::from(a.0) << 32) | u64::from(head.label.0);
+                let key = (u64::from(a.0) << 32) | u64::from(label.0);
                 if let Some(next) = self.assigns.get(key) {
                     return (ArrayId(next), cont);
                 }
@@ -802,31 +745,19 @@ impl<'i> Stepper<'i> {
                 if it.cells(a)[*idx] == 0 {
                     (a, cont)
                 } else {
-                    // ⟨s_body . s⟩: memoized by the source statement id.
-                    let unrolled = it.derived_stmt(s, || body.clone().seq(it.stmt(s).clone()));
-                    (a, self.stm(unrolled))
+                    // ⟨s_body . s⟩.
+                    (a, self.cons(body, s))
                 }
             }
             InstrKind::Async { body } => {
-                let spawned = it.spawned_stmt(head.label, body);
-                let t = self.stm(spawned);
+                let t = self.cons(body, DONE);
                 (a, self.par(t, cont))
             }
             InstrKind::Finish { body } => {
-                let spawned = it.spawned_stmt(head.label, body);
-                let t = self.stm(spawned);
+                let t = self.cons(body, DONE);
                 (a, self.seq(t, cont))
             }
-            InstrKind::Call { callee } => {
-                let unrolled = it.derived_stmt(s, || {
-                    let body = p.body(*callee).clone();
-                    match it.stmt(s).tail() {
-                        Some(k) => body.seq(k),
-                        None => body,
-                    }
-                });
-                (a, self.stm(unrolled))
-            }
+            InstrKind::Call { callee } => (a, self.cons(self.p.body(*callee), cont)),
         }
     }
 }
@@ -857,8 +788,7 @@ fn set_bit(words: &mut Vec<u64>, i: u32) {
 
 /// [`Interner::render_state`] with each array and each `⟨s⟩` leaf
 /// rendered once, memoized by id. A state's digest is one walk over its
-/// tree that copies the leaves' renderings, with no `Tree` rebuilt and
-/// no statement cloned per state.
+/// tree that copies the leaves' renderings, with no `Tree` rebuilt.
 pub(crate) struct StateRenderer<'i> {
     it: &'i Interner,
     leaves: IdMap<TreeId, Box<str>>,
@@ -894,17 +824,27 @@ impl<'i> StateRenderer<'i> {
         out
     }
 
-    /// Appends `t` as `Display for Tree` renders it.
+    /// Appends `t` as `Display for Tree` renders it: a statement as
+    /// `⟨L1 L2 …⟩`, read off its label chain in a loop.
     fn tree(&mut self, t: TreeId, out: &mut String) {
         let (a, b, op) = match self.it.node(t) {
             TNode::Done => return out.push('√'),
-            TNode::Stm(s) => {
+            TNode::Stm(..) => {
                 let it = self.it;
-                return out.push_str(
-                    self.leaves
-                        .entry(t)
-                        .or_insert_with(|| Tree::Stm(it.stmt(s).clone()).to_string().into()),
-                );
+                let leaf = self.leaves.entry(t).or_insert_with(|| {
+                    let mut s = String::from("⟨");
+                    let mut k = t;
+                    while let TNode::Stm(l, tail) = it.node(k) {
+                        if k != t {
+                            s.push(' ');
+                        }
+                        let _ = write!(s, "{l}");
+                        k = tail;
+                    }
+                    s.push('⟩');
+                    s.into()
+                });
+                return out.push_str(leaf);
             }
             TNode::Seq(a, b) => (a, b, " ▷ "),
             TNode::Par(a, b) => (a, b, " ∥ "),
@@ -928,47 +868,85 @@ mod tests {
         p.body(p.main()).clone()
     }
 
+    /// Rebuilds the cloned [`Tree`], reading each statement's label chain
+    /// in a loop and its instructions from `p`.
+    fn to_tree(it: &Interner, p: &Program, t: TreeId) -> Tree {
+        fn rebuild(it: &Interner, instrs: &[&Instr], t: TreeId) -> Tree {
+            match it.node(t) {
+                TNode::Done => Tree::Done,
+                TNode::Stm(..) => {
+                    let mut s = Vec::new();
+                    let mut k = t;
+                    while let TNode::Stm(l, tail) = it.node(k) {
+                        s.push(instrs[l.index()].clone());
+                        k = tail;
+                    }
+                    Tree::Stm(Stmt::new(s).unwrap())
+                }
+                TNode::Seq(a, b) => Tree::seq(rebuild(it, instrs, a), rebuild(it, instrs, b)),
+                TNode::Par(a, b) => Tree::par(rebuild(it, instrs, a), rebuild(it, instrs, b)),
+            }
+        }
+        let mut instrs = Vec::new();
+        p.for_each_instr(|_, i| instrs.push(i));
+        rebuild(it, &instrs, t)
+    }
+
     #[test]
     fn hash_consing_dedups_structurally_equal_trees() {
         let p = Program::parse("def main() { S1; S2; }").unwrap();
+        let leaf = Tree::stm(main_stmt(&p));
         let it = Interner::new(true);
-        let s = it.intern_stmt(&main_stmt(&p));
-        let a = it.par(it.stm(s), DONE);
-        let b = it.par(DONE, it.stm(s));
+        let s = it.intern_tree(&leaf);
+        let a = it.par(s, DONE);
+        let b = it.par(DONE, s);
         assert_eq!(a, b, "canonical ∥ identifies the symmetric pair");
         assert_eq!(it.seq(a, DONE), it.seq(b, DONE));
         let lit = Interner::new(false);
-        let s2 = lit.intern_stmt(&main_stmt(&p));
+        let s2 = lit.intern_tree(&leaf);
         assert_ne!(
-            lit.par(lit.stm(s2), DONE),
-            lit.par(DONE, lit.stm(s2)),
+            lit.par(s2, DONE),
+            lit.par(DONE, s2),
             "literal mode keeps both orientations"
         );
     }
 
     #[test]
-    fn stmt_suffixes_share_ids_with_their_standalone_equals() {
+    fn a_statement_is_a_chain_of_label_nodes_ending_in_done() {
         let p = Program::parse("def main() { S1; S2; S3; }").unwrap();
+        let s = main_stmt(&p);
         let it = Interner::new(true);
-        let whole = it.intern_stmt(&main_stmt(&p));
-        let tail = it.stmt_tail(whole).unwrap();
-        // Interning the structurally-equal suffix hits the same id.
-        assert_eq!(it.intern_stmt(&main_stmt(&p).tail().unwrap()), tail);
-        let last = it.stmt_tail(tail).unwrap();
-        assert_eq!(it.stmt_tail(last), None);
-        assert_eq!(it.stmt(last).len(), 1);
+        let whole = it.intern_tree(&Tree::stm(s.clone()));
+        let TNode::Stm(l0, tail) = it.node(whole) else {
+            panic!("a statement interns as a Stm node");
+        };
+        assert_eq!(l0, Label(0));
+        // The tail node is the structurally-equal suffix's own id.
+        assert_eq!(it.intern_tree(&Tree::stm(s.tail().unwrap())), tail);
+        let TNode::Stm(l1, last) = it.node(tail) else {
+            panic!("the tail of a longer statement is a Stm node");
+        };
+        assert_eq!(l1, Label(1));
+        assert_eq!(it.node(last), TNode::Stm(Label(2), DONE));
+        assert_eq!(it.stm(Label(0), tail), whole);
+        assert_eq!(to_tree(&it, &p, whole), Tree::stm(s));
     }
 
     #[test]
     fn structural_cmp_mirrors_derived_tree_ord() {
-        let p = Program::parse("def main() { S1; S2; }").unwrap();
+        let p = Program::parse("def main() { S1; S2; S3; }").unwrap();
         let it = Interner::new(false);
         let s = main_stmt(&p);
+        let prefix = Stmt::new(s.instrs()[..2].to_vec()).unwrap();
         let trees = [
             Tree::Done,
             Tree::stm(s.clone()),
             Tree::stm(s.tail().unwrap()),
+            Tree::stm(prefix.clone()),
+            Tree::stm(Stmt::new(s.instrs()[..1].to_vec()).unwrap()),
             Tree::seq(Tree::Done, Tree::stm(s.clone())),
+            Tree::seq(Tree::stm(prefix.clone()), Tree::stm(s.clone())),
+            Tree::seq(Tree::stm(prefix), Tree::Done),
             Tree::par(Tree::stm(s.clone()), Tree::Done),
             Tree::par(Tree::Done, Tree::stm(s.clone())),
         ];
@@ -1005,16 +983,18 @@ mod tests {
                 let aid = it.intern_array(arr.cells().to_vec());
                 let tid = it.intern_tree(&tree);
                 let mut got = Vec::new();
-                it.stepper().successors(&p, aid, tid, &mut got);
+                it.stepper(&p).successors(aid, tid, &mut got);
                 let want = successors(&p, &arr, &tree);
                 assert_eq!(got.len(), want.len(), "{src}");
                 for (w, (ga, gt)) in want.iter().zip(&got) {
                     assert_eq!(it.cells(*ga), w.array.cells(), "{src}");
+                    let canonical = w.tree.clone().canonical();
                     assert_eq!(
                         *gt,
-                        it.intern_tree(&w.tree.clone().canonical()),
+                        it.intern_tree(&canonical),
                         "{src}: successor tree mismatch"
                     );
+                    assert_eq!(to_tree(&it, &p, *gt), canonical, "{src}");
                 }
                 for s in want {
                     frontier.push((s.array, s.tree));
@@ -1038,6 +1018,8 @@ mod tests {
         let mut ids = TreeBits::default();
         ids.insert(id);
         assert_eq!(it.parallel_of_trees(ids), parallel(&t));
+        let fronts: Vec<Label> = crate::parallel::ftlabels(&t).into_iter().collect();
+        assert_eq!(it.ftlabels(id), fronts);
     }
 
     /// Every `programs/*.fx10` fixture that parses.
@@ -1082,9 +1064,9 @@ mod tests {
         let (mut got, mut want) = (Vec::new(), Vec::new());
         while let Some((a, t)) = queue.pop_front() {
             got.clear();
-            warm.successors(p, a, t, &mut got);
+            warm.successors(a, t, &mut got);
             want.clear();
-            cold().successors(p, a, t, &mut want);
+            cold().successors(a, t, &mut want);
             assert_eq!(got, want, "{name}: successors of {}", it.render_state(a, t));
             for &(sa, st) in &got {
                 if seen.len() < limit && seen.insert(state_key(sa, st)) {
@@ -1099,7 +1081,7 @@ mod tests {
         for (name, p) in fixtures() {
             for canonical in [true, false] {
                 let it = Interner::new(canonical);
-                assert_steppers_agree(&name, &p, &it, it.stepper(), || it.stepper(), 3_000);
+                assert_steppers_agree(&name, &p, &it, it.stepper(&p), || it.stepper(&p), 3_000);
             }
         }
     }
@@ -1123,12 +1105,8 @@ mod tests {
         // evicts; the ids must still be the fresh stepper's.
         for (name, p) in fixtures() {
             let it = Interner::new(true);
-            let tiny = Stepper {
-                it: &it,
-                nodes: Cache::with_slots(1),
-                assigns: Cache::with_slots(1),
-            };
-            assert_steppers_agree(&name, &p, &it, tiny, || it.stepper(), 3_000);
+            let tiny = Stepper::with_caches(&it, &p, Cache::with_slots(1), Cache::with_slots(1));
+            assert_steppers_agree(&name, &p, &it, tiny, || it.stepper(&p), 3_000);
         }
     }
 
@@ -1166,6 +1144,39 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(memo.render_state(aid, id), it.render_state(aid, id));
         }
+    }
+
+    #[test]
+    fn long_statements_compare_render_and_rebuild_in_loops() {
+        // After n call steps of `f() { f(); skip; }` the leaf is
+        // ⟨L0 L1ⁿ⟩: deep enough that a recursive walk along its tail
+        // chain would overflow a test thread's stack.
+        let p = Program::parse("def f() { f(); skip; } def main() { f(); }").unwrap();
+        let it = Interner::new(true);
+        let mut stepper = it.stepper(&p);
+        let a = it.intern_array(ArrayState::zeros(&p).cells().to_vec());
+        let (mut prev, mut t) = (DONE, it.intern_tree(&initial_tree(&p)));
+        let mut out = Vec::new();
+        let n = 100_000;
+        for _ in 0..n {
+            out.clear();
+            stepper.successors(a, t, &mut out);
+            assert_eq!(out.len(), 1);
+            (prev, t) = (t, out[0].1);
+        }
+        assert_eq!(it.structural_cmp(prev, t), CmpOrdering::Less);
+        assert_eq!(it.structural_cmp(t, prev), CmpOrdering::Greater);
+        assert_eq!(it.par(t, prev), it.par(prev, t));
+        let rendered = it.render_state(a, t);
+        assert!(rendered.contains(" ⊢ ⟨L0 L1 L1 "));
+        assert!(rendered.ends_with(" L1 L1⟩"));
+        assert_eq!(rendered.matches("L1").count(), n);
+        let tree = to_tree(&it, &p, t);
+        let Tree::Stm(s) = &tree else {
+            panic!("a call step leaves one statement");
+        };
+        assert_eq!(s.len(), n + 1);
+        assert_eq!(it.intern_tree(&tree), t);
     }
 
     #[test]
@@ -1220,8 +1231,8 @@ mod tests {
                 .map(|_| {
                     let (it, s) = (&it, &s);
                     scope.spawn(move || {
-                        let sid = it.intern_stmt(s);
-                        it.par(it.stm(sid), it.seq(it.stm(sid), DONE))
+                        let leaf = it.intern_tree(&Tree::stm(s.clone()));
+                        it.par(leaf, it.seq(leaf, DONE))
                     })
                 })
                 .collect();

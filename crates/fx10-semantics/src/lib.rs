@@ -43,7 +43,7 @@ pub use explore::{
     explore_sampled, settle_outcome, CheckpointSpec, Durability, Exploration, ExploreConfig,
     FrontSample, WatchdogSpec,
 };
-pub use intern::{ArrayId, Interner, Stepper, StmtId, TreeBits, TreeId};
+pub use intern::{ArrayId, Interner, Stepper, TreeBits, TreeId};
 pub use parallel::{ftlabels, parallel, LabelPair};
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;

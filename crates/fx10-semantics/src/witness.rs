@@ -110,7 +110,7 @@ pub fn find_witnesses(
         choice: 0,
     }];
     let mut seen: IdSet<u64> = IdSet::from_iter([nodes[0].key]);
-    let mut stepper = it.stepper();
+    let mut stepper = it.stepper(p);
     let mut succ = Vec::new();
     let mut at = 0;
     let rest = 'search: loop {
@@ -130,7 +130,7 @@ pub fn find_witnesses(
         }
         let (a, t) = state_parts(nodes[at].key);
         succ.clear();
-        stepper.successors(p, a, t, &mut succ);
+        stepper.successors(a, t, &mut succ);
         memo.extend(&it);
         for (choice, &(sa, st)) in succ.iter().enumerate() {
             let key = state_key(sa, st);
@@ -289,18 +289,17 @@ impl TargetMemo {
     /// Adds rows for every tree interned since the last call.
     fn extend(&mut self, it: &Interner) {
         let (lw, tw) = (self.label_words, self.target_words);
-        let trees = it.counts().1;
+        let trees = it.counts().0;
         for id in self.rows..trees {
             match it.node(TreeId(id as u32)) {
                 TNode::Done => {
                     self.ft.resize(self.ft.len() + lw, 0);
                     self.hits.resize(self.hits.len() + tw, 0);
                 }
-                TNode::Stm(s) => {
+                TNode::Stm(label, _) => {
                     let at = self.ft.len();
                     self.ft.resize(at + lw, 0);
-                    let label = it.stmt(s).head().label.index();
-                    if let Some(&Some(slot)) = self.slot_of.get(label) {
+                    if let Some(&Some(slot)) = self.slot_of.get(label.index()) {
                         self.ft[at + slot / 64] |= 1 << (slot % 64);
                     }
                     self.hits.resize(self.hits.len() + tw, 0);

@@ -8,21 +8,21 @@
 
 use fx10_robust::snapshot::{SectionBuf, SnapshotError, SnapshotWriter};
 use fx10_semantics::intern::{state_key, DONE};
-use fx10_semantics::{snapshot_fingerprint, ExploreConfig, ExplorerSnapshot, Interner};
+use fx10_semantics::{snapshot_fingerprint, ExploreConfig, ExplorerSnapshot, Interner, Tree};
 use fx10_syntax::Program;
 use proptest::prelude::*;
 
 /// The canonical byte image a real durable checkpoint would write:
-/// a small but fully populated snapshot (statement chain, `▷`/`∥`
-/// nodes, two array states, visited + frontier keys).
+/// a small but fully populated snapshot (a statement's label chain,
+/// `▷`/`∥` nodes, two array states, visited + frontier keys).
 fn valid_bytes() -> Vec<u8> {
     let p = Program::parse(
         "def main() { finish { async { A1: a[0] = 1; } B1: a[1] = 1; } C1: a[0] = 0; }",
     )
     .unwrap();
     let it = Interner::new(true);
-    let s = it.intern_stmt(&p.body(p.main()).clone());
-    let t = it.par(it.stm(s), it.seq(it.stm(s), DONE));
+    let s = it.intern_tree(&Tree::stm(p.body(p.main()).clone()));
+    let t = it.par(s, it.seq(s, DONE));
     let a0 = it.intern_array(vec![0, 0]);
     let a1 = it.intern_array(vec![1, 0]);
     let keys = vec![state_key(a0, t), state_key(a1, t), state_key(a0, DONE)];
@@ -75,7 +75,8 @@ proptest! {
 /// by the attacker-controlled count.
 #[test]
 fn lying_counts_with_valid_checksums_do_not_allocate() {
-    for tag in 2u32..=6 {
+    // Sections 3–6: trees, arrays, visited, frontier.
+    for tag in 3u32..=6 {
         let mut w = SnapshotWriter::new();
         // SEC_META must parse first (25 bytes of counters).
         let mut meta = SectionBuf::new();
@@ -84,7 +85,7 @@ fn lying_counts_with_valid_checksums_do_not_allocate() {
         meta.put_u64(0);
         meta.put_u64(0);
         w.add_section(1, meta);
-        for t in 2u32..=6 {
+        for t in 3u32..=6 {
             let mut b = SectionBuf::new();
             if t == tag {
                 b.put_u32(u32::MAX); // count lies; almost no payload follows
@@ -127,4 +128,21 @@ fn checked_in_corrupt_fixtures_stay_corrupt() {
     }
     let good = std::fs::read(root.join("programs/snap_example22.fxsnap")).unwrap();
     assert!(ExplorerSnapshot::from_bytes(&good).is_ok());
+}
+
+proptest! {
+    /// Forged tree tables with *valid* checksums: random tags, labels
+    /// and tails either fail to decode, fail the restore's label check,
+    /// or restore cleanly. Never a panic or an index out of range.
+    #[test]
+    fn forged_statement_nodes_decode_or_fail_typed(
+        nodes in proptest::collection::vec((0u8..5, 0u32..12, 0u32..10), 0..10),
+    ) {
+        let p = Program::parse("def main() { A1: a[0] = 1; B1: a[1] = 1; C1: a[0] = 0; }").unwrap();
+        let mut snap = ExplorerSnapshot::from_bytes(&valid_bytes()).unwrap();
+        snap.trees.extend(nodes);
+        if let Ok(back) = ExplorerSnapshot::from_bytes(&snap.to_bytes()) {
+            let _ = back.restore(&Interner::new(true), &p);
+        }
+    }
 }

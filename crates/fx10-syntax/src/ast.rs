@@ -401,8 +401,8 @@ impl Program {
     /// Visits every instruction of every method, passing the enclosing
     /// method id. Order: methods in declaration order, instructions in
     /// label (pre-)order within each method.
-    pub fn for_each_instr(&self, mut f: impl FnMut(FuncId, &Instr)) {
-        fn walk(s: &Stmt, m: FuncId, f: &mut impl FnMut(FuncId, &Instr)) {
+    pub fn for_each_instr<'p>(&'p self, mut f: impl FnMut(FuncId, &'p Instr)) {
+        fn walk<'p>(s: &'p Stmt, m: FuncId, f: &mut impl FnMut(FuncId, &'p Instr)) {
             for i in s.instrs() {
                 f(m, i);
                 if let Some(b) = i.kind.body() {

@@ -93,6 +93,21 @@ fn fixture_programs_agree_across_engines_and_worker_counts() {
             assert_identical(&format!("{path} jobs={jobs}"), &want, &got);
         }
     }
+    // Non-tail recursion has one endless path whose statement grows by an
+    // instruction per call: compared up to a small cap, by which point the
+    // interned engine's label chains are ~300 instructions long.
+    let path = "programs/rec_tail_growth.fx10";
+    let p = load(path);
+    let config = ExploreConfig {
+        max_states: 300,
+        ..digest_config()
+    };
+    let want = reference(&p, config);
+    assert!(want.truncated && want.visited == 300, "{path}");
+    for jobs in JOBS {
+        let got = parallel(&p, config, jobs);
+        assert_identical(&format!("{path} jobs={jobs}"), &want, &got);
+    }
 }
 
 #[test]

@@ -247,18 +247,14 @@ fn fork_join() -> fx10::syntax::Program {
 #[test]
 fn forced_budget_trip_tags_the_partial_exploration() {
     let p = fork_join();
-    let faults = FaultPlan {
-        trip_states_after: Some(1),
-        ..FaultPlan::none()
-    };
     let e = explore_parallel_durable(
         &p,
         &[],
         small_explore(),
         2,
-        Budget::unlimited(),
+        Budget::unlimited().with_max_states(1),
         &CancelToken::new(),
-        &faults,
+        &FaultPlan::none(),
         Durability::default(),
     )
     .expect("a forced budget trip is a partial result, not an error");

@@ -33,7 +33,7 @@ use fx10::runtime::{
     replay_detect, run_elision, run_parallel, run_scheduled, RtConfig, RunReport, Scheduler,
 };
 use fx10::semantics::step::{initial_tree, successors};
-use fx10::semantics::{explore, ArrayState, ExploreConfig};
+use fx10::semantics::{explore_interned_budgeted, ArrayState, ExploreConfig};
 use fx10::suite::{random_fx10, RandomConfig};
 use fx10::syntax::Program;
 use proptest::prelude::*;
@@ -168,14 +168,21 @@ fn detected_races_are_contained_in_dynamic_and_static_mhp_on_all_fixtures() {
         // The explorer's dynamic MHP is exact only when untruncated; on
         // the chaos fixtures the interleaving space alone overflows any
         // reasonable cap, so the middle leg is checked where exhaustive.
-        let e = explore(
+        // The interned engine computes it: the cloned reference copies
+        // every state's statement, which `rec_tail_growth` grows by one
+        // instruction per step, so 60,000 states there would need
+        // gigabytes.
+        let e = explore_interned_budgeted(
             &p,
             &[],
             ExploreConfig {
                 max_states: 60_000,
                 ..ExploreConfig::default()
             },
-        );
+            Budget::unlimited(),
+            &CancelToken::new(),
+        )
+        .expect("an uncancelled exploration is not an error");
         if !e.truncated {
             for &(x, y) in &observed {
                 assert!(
