@@ -281,6 +281,49 @@ fn analysis_errors_exit_1() {
     }
 }
 
+/// Oversized numbers and arrays are typed input errors under every
+/// command that builds a program: exit 1, never a panic (101) or a failed
+/// allocation (134).
+#[test]
+fn oversized_numbers_and_arrays_are_parse_errors_exit_1() {
+    for (i, (src, needle)) in [
+        (
+            "def main() { a[99999999999999999999] = 1; }",
+            "line 1: number too large for a 64-bit signed integer",
+        ),
+        (
+            "def main() { a[0] = 99999999999999999999; }",
+            "line 1: number too large for a 64-bit signed integer",
+        ),
+        (
+            "def main() { a[4000000000000] = 1; }",
+            "array of 4000000000001 cells is too long (the limit is 65536 cells)",
+        ),
+        (
+            "array[4000000000000];\ndef main() { a[0] = 1; }",
+            "array of 4000000000000 cells is too long (the limit is 65536 cells)",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = std::env::temp_dir().join(format!(
+            "fx10-cli-oversized-{}-{i}.fx10",
+            std::process::id()
+        ));
+        std::fs::write(&path, src).unwrap();
+        let file = path.to_str().unwrap();
+        for cmd in ["run", "explore", "check", "lint", "absint"] {
+            let out = fx10(&[cmd, file]);
+            assert_eq!(code(&out), 1, "{cmd} {src:?}: {}", stderr(&out));
+            let err = stderr(&out);
+            assert!(err.contains("parse error"), "{cmd} {src:?}: {err}");
+            assert!(err.contains(needle), "{cmd} {src:?}: {err}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
 #[test]
 fn truncated_check_is_inconclusive_exit_3() {
     let out = fx10(&["check", "programs/fork_join.fx10", "--max-states", "3"]);

@@ -63,9 +63,11 @@ impl From<CError> for X10ParseError {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow the source text, so a token owns no
+/// memory and copying one is a register move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     LBrace,
     RBrace,
     Semi,
@@ -73,111 +75,97 @@ enum Tok {
     Guard,
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>, X10ParseError> {
-    let mut out = Vec::new();
-    let mut chars = src.chars().peekable();
-    let mut line = 1usize;
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
+/// Splits `src` into tokens, each with its 1-based line. Whitespace is
+/// what `char::is_whitespace` accepts; only `\n` counts lines.
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, u32)>, X10ParseError> {
+    let bytes = src.as_bytes();
+    let len = bytes.len();
+    let mut out = Vec::with_capacity(len / 4 + 1);
+    let mut line = 1u32;
+    let err = |line: u32, message: String| X10ParseError {
+        line: line as usize,
+        message,
+    };
+    let mut i = 0;
+    while i < len {
+        let b = bytes[i];
+        i += 1;
+        let tok = match b {
+            b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c' => continue,
+            b'\n' => {
+                line = line.saturating_add(1);
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
+            b'/' if bytes.get(i) == Some(&b'/') => {
+                match bytes[i..].iter().position(|&c| c == b'\n') {
+                    Some(nl) => {
+                        line = line.saturating_add(1);
+                        i += nl + 1;
                     }
-                } else {
-                    return Err(X10ParseError {
-                        line,
-                        message: "unexpected `/`".into(),
-                    });
+                    None => i = len,
                 }
+                continue;
             }
-            '(' => {
+            b'/' => return Err(err(line, "unexpected `/`".into())),
+            b'(' => {
                 // Skip to the matching close paren; guards are opaque.
-                chars.next();
                 let mut depth = 1usize;
-                for c in chars.by_ref() {
-                    match c {
-                        '(' => depth += 1,
-                        ')' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        '\n' => line += 1,
+                while depth > 0 && i < len {
+                    match bytes[i] {
+                        b'(' => depth += 1,
+                        b')' => depth -= 1,
+                        b'\n' => line = line.saturating_add(1),
                         _ => {}
                     }
+                    i += 1;
                 }
                 if depth != 0 {
-                    return Err(X10ParseError {
-                        line,
-                        message: "unterminated `(`".into(),
-                    });
+                    return Err(err(line, "unterminated `(`".into()));
                 }
-                out.push((Tok::Guard, line));
+                Tok::Guard
             }
-            '{' => {
-                chars.next();
-                out.push((Tok::LBrace, line));
-            }
-            '}' => {
-                chars.next();
-                out.push((Tok::RBrace, line));
-            }
-            ';' => {
-                chars.next();
-                out.push((Tok::Semi, line));
-            }
-            c if c.is_ascii_alphanumeric() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+            b'{' => Tok::LBrace,
+            b'}' => Tok::RBrace,
+            b';' => Tok::Semi,
+            b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let start = i - 1;
+                while i < len && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
-                out.push((Tok::Ident(s), line));
+                Tok::Ident(&src[start..i])
             }
-            other => {
-                return Err(X10ParseError {
-                    line,
-                    message: format!("unexpected character `{other}`"),
-                })
+            _ => {
+                // A non-ASCII char (every byte consumed so far was ASCII
+                // or a whole char, so `i - 1` is a char boundary).
+                let c = src[i - 1..].chars().next().unwrap_or_default();
+                if c.is_whitespace() {
+                    i += c.len_utf8() - 1;
+                    continue;
+                }
+                return Err(err(line, format!("unexpected character `{c}`")));
             }
-        }
+        };
+        out.push((tok, line));
     }
     Ok(out)
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, u32)>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
+    /// The line of the next token, or of the last one at end of input.
     fn line(&self) -> usize {
         self.toks
             .get(self.pos)
             .or_else(|| self.toks.last())
-            .map(|&(_, l)| l)
-            .unwrap_or(1)
+            .map_or(1, |&(_, l)| l as usize)
     }
 
     fn err(&self, m: impl Into<String>) -> X10ParseError {
@@ -187,19 +175,19 @@ impl Parser {
         }
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: Tok, what: &str) -> Result<(), X10ParseError> {
+    fn expect(&mut self, want: Tok<'_>, what: &str) -> Result<(), X10ParseError> {
         match self.next() {
             Some(t) if t == want => Ok(()),
             Some(_) => Err(X10ParseError {
-                line: self.toks[self.pos - 1].1,
+                line: self.toks[self.pos - 1].1 as usize,
                 message: format!("expected {what}"),
             }),
             None => Err(self.err(format!("expected {what}"))),
@@ -213,12 +201,11 @@ impl Parser {
     fn program(&mut self) -> Result<Vec<(String, Vec<CAst>)>, X10ParseError> {
         let mut methods = Vec::new();
         while self.peek().is_some() {
-            match self.next() {
-                Some(Tok::Ident(kw)) if kw == "def" => {}
-                _ => return Err(self.err("expected `def`")),
+            if self.next() != Some(Tok::Ident("def")) {
+                return Err(self.err("expected `def`"));
             }
             let name = match self.next() {
-                Some(Tok::Ident(n)) => n,
+                Some(Tok::Ident(n)) => n.to_string(),
                 _ => return Err(self.err("expected method name")),
             };
             self.eat_guard()?; // the `()` parameter list
@@ -234,7 +221,7 @@ impl Parser {
         loop {
             match self.peek() {
                 Some(Tok::RBrace) => {
-                    self.next();
+                    self.pos += 1;
                     return Ok(out);
                 }
                 Some(_) => out.push(self.stmt()?),
@@ -248,7 +235,7 @@ impl Parser {
             Some(Tok::Ident(k)) => k,
             _ => return Err(self.err("expected a statement")),
         };
-        match kw.as_str() {
+        match kw {
             "skip" | "compute" => {
                 self.expect(Tok::Semi, "`;`")?;
                 Ok(CAst::Skip)
@@ -264,8 +251,8 @@ impl Parser {
             "async" => {
                 // Optional `at ( … )`.
                 let mut place_switch = false;
-                if self.peek() == Some(&Tok::Ident("at".into())) {
-                    self.next();
+                if self.peek() == Some(Tok::Ident("at")) {
+                    self.pos += 1;
                     self.eat_guard()?;
                     place_switch = true;
                 }
@@ -275,8 +262,8 @@ impl Parser {
             "if" => {
                 self.eat_guard()?;
                 let then_ = self.block()?;
-                let else_ = if self.peek() == Some(&Tok::Ident("else".into())) {
-                    self.next();
+                let else_ = if self.peek() == Some(Tok::Ident("else")) {
+                    self.pos += 1;
                     self.block()?
                 } else {
                     vec![]
@@ -302,7 +289,7 @@ impl Parser {
                 loop {
                     match self.next() {
                         Some(Tok::RBrace) => break,
-                        Some(Tok::Ident(c)) if c == "case" => cases.push(self.block()?),
+                        Some(Tok::Ident("case")) => cases.push(self.block()?),
                         _ => return Err(self.err("expected `case` or `}` in switch")),
                     }
                 }

@@ -4,6 +4,13 @@ use crate::build::Ast;
 use crate::label::{Label, LabelTable};
 use crate::ValidateError;
 
+/// The most cells the shared array may have. Every array-indexed table
+/// (runtime memory, detector shadow cells, abstract states) is sized by
+/// [`Program::array_len`], so an unchecked index in the source would
+/// turn into an allocation of that many cells. The value analysis keeps
+/// such a table per label, which is why the limit is not higher.
+pub(crate) const MAX_ARRAY_LEN: usize = 1 << 16;
+
 /// Identifies a method: a dense index in `0..Program::method_count()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FuncId(pub u32);
@@ -220,6 +227,8 @@ impl Program {
     /// `oob-write` / `oob-read` lints flag accesses at indices `>= N`);
     /// the runtime array is still sized to cover every index the program
     /// mentions, so execution never faults on a declared-too-small array.
+    /// Either way the array may have at most 2^16 cells
+    /// ([`ValidateError::ArrayTooLong`]).
     pub fn from_ast_with_decl(
         methods: Vec<(String, Vec<Ast>)>,
         declared_len: Option<usize>,
@@ -321,6 +330,10 @@ impl Program {
         for (l, line) in lines {
             labels.set_line(l, line);
         }
+        let array_len = max_idx.saturating_add(1).max(declared_len.unwrap_or(0));
+        if array_len > MAX_ARRAY_LEN {
+            return Err(ValidateError::ArrayTooLong(array_len));
+        }
         let main = ids
             .iter()
             .find(|(n, _)| n == "main")
@@ -329,7 +342,7 @@ impl Program {
         Ok(Program {
             methods: built,
             labels,
-            array_len: (max_idx + 1).max(declared_len.unwrap_or(0)),
+            array_len,
             declared_len,
             main,
         })
@@ -473,6 +486,36 @@ mod tests {
         .unwrap();
         assert_eq!(big.array_len(), 8);
         assert_eq!(big.declared_len(), Some(8));
+    }
+
+    #[test]
+    fn array_length_is_capped() {
+        let at = |idx: usize, decl: Option<usize>| {
+            Program::from_ast_with_decl(
+                vec![("main".to_string(), vec![assign(idx, Expr::Plus1(0))])],
+                decl,
+            )
+        };
+        assert_eq!(
+            at(MAX_ARRAY_LEN - 1, None).unwrap().array_len(),
+            MAX_ARRAY_LEN
+        );
+        assert_eq!(
+            at(MAX_ARRAY_LEN, None).unwrap_err(),
+            ValidateError::ArrayTooLong(MAX_ARRAY_LEN + 1)
+        );
+        assert_eq!(
+            at(usize::MAX, None).unwrap_err(),
+            ValidateError::ArrayTooLong(usize::MAX)
+        );
+        assert_eq!(
+            at(0, Some(MAX_ARRAY_LEN)).unwrap().array_len(),
+            MAX_ARRAY_LEN
+        );
+        assert_eq!(
+            at(0, Some(MAX_ARRAY_LEN + 1)).unwrap_err(),
+            ValidateError::ArrayTooLong(MAX_ARRAY_LEN + 1)
+        );
     }
 
     #[test]

@@ -54,6 +54,10 @@ pub enum ValidateError {
     NoMethods,
     /// A statement sequence was empty (the grammar requires `s ::= i | i s`).
     EmptyStatement,
+    /// The shared array would need this many cells, more than the
+    /// 2^16 a program may use: the largest index plus one, or the
+    /// `array[N];` declaration if that is larger.
+    ArrayTooLong(usize),
 }
 
 impl std::fmt::Display for ValidateError {
@@ -63,6 +67,11 @@ impl std::fmt::Display for ValidateError {
             ValidateError::DuplicateMethod(m) => write!(f, "duplicate method `{m}`"),
             ValidateError::NoMethods => write!(f, "program has no methods"),
             ValidateError::EmptyStatement => write!(f, "empty statement sequence"),
+            ValidateError::ArrayTooLong(n) => write!(
+                f,
+                "array of {n} cells is too long (the limit is {} cells)",
+                ast::MAX_ARRAY_LEN
+            ),
         }
     }
 }

@@ -20,7 +20,9 @@
 //! ```
 //!
 //! Line comments start with `//`. An empty block parses as a single `skip`
-//! (the grammar requires non-empty statements).
+//! (the grammar requires non-empty statements). A number must fit in an
+//! `i64` (`-9223372036854775808` included), and the array may have at
+//! most 2^16 cells ([`ValidateError::ArrayTooLong`]).
 
 use crate::ast::{Expr, Program};
 use crate::build::{assign, async_, call, finish, skip, while_, Ast};
@@ -57,10 +59,13 @@ impl From<ValidateError> for ParseError {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Num(i64),
+/// A token. Identifiers borrow the source text, so a token owns no
+/// memory and copying one is a register move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    /// A magnitude: at most `i64::MAX`, or `2^63` right after a `-`.
+    Num(u64),
     LBrace,
     RBrace,
     LParen,
@@ -75,7 +80,7 @@ enum Tok {
     Minus,
 }
 
-impl std::fmt::Display for Tok {
+impl std::fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -96,145 +101,133 @@ impl std::fmt::Display for Tok {
     }
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
-    let mut out = Vec::new();
-    let mut chars = src.chars().peekable();
-    let mut line = 1usize;
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
+/// Splits `src` into tokens, each with its 1-based line.
+///
+/// The whole file is lexed before parsing starts, so a lexical error
+/// anywhere wins over a parse error earlier in the file. Whitespace is
+/// what `char::is_whitespace` accepts; only `\n` counts lines.
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, u32)>, ParseError> {
+    let bytes = src.as_bytes();
+    let len = bytes.len();
+    // A few bytes per token in any realistic layout.
+    let mut out = Vec::with_capacity(len / 2 + 1);
+    let mut line = 1u32;
+    let err = |line: u32, message: String| ParseError {
+        line: line as usize,
+        message,
+    };
+    let mut i = 0;
+    while i < len {
+        let b = bytes[i];
+        i += 1;
+        let tok = match b {
+            b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c' => continue,
+            b'\n' => {
+                line = line.saturating_add(1);
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
+            b'/' if bytes.get(i) == Some(&b'/') => {
+                match bytes[i..].iter().position(|&c| c == b'\n') {
+                    Some(nl) => {
+                        line = line.saturating_add(1);
+                        i += nl + 1;
                     }
-                } else {
-                    return Err(ParseError {
-                        line,
-                        message: "unexpected `/` (comments are `//`)".into(),
-                    });
+                    None => i = len,
                 }
+                continue;
             }
-            '{' => {
-                chars.next();
-                out.push((Tok::LBrace, line));
+            b'/' => return Err(err(line, "unexpected `/` (comments are `//`)".into())),
+            b'{' => Tok::LBrace,
+            b'}' => Tok::RBrace,
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b'[' => Tok::LBrack,
+            b']' => Tok::RBrack,
+            b';' => Tok::Semi,
+            b':' => Tok::Colon,
+            b'+' => Tok::Plus,
+            b'-' => Tok::Minus,
+            b'=' => Tok::Eq,
+            b'!' if bytes.get(i) == Some(&b'=') => {
+                i += 1;
+                Tok::Neq
             }
-            '}' => {
-                chars.next();
-                out.push((Tok::RBrace, line));
-            }
-            '(' => {
-                chars.next();
-                out.push((Tok::LParen, line));
-            }
-            ')' => {
-                chars.next();
-                out.push((Tok::RParen, line));
-            }
-            '[' => {
-                chars.next();
-                out.push((Tok::LBrack, line));
-            }
-            ']' => {
-                chars.next();
-                out.push((Tok::RBrack, line));
-            }
-            ';' => {
-                chars.next();
-                out.push((Tok::Semi, line));
-            }
-            ':' => {
-                chars.next();
-                out.push((Tok::Colon, line));
-            }
-            '+' => {
-                chars.next();
-                out.push((Tok::Plus, line));
-            }
-            '-' => {
-                chars.next();
-                out.push((Tok::Minus, line));
-            }
-            '=' => {
-                chars.next();
-                out.push((Tok::Eq, line));
-            }
-            '!' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    out.push((Tok::Neq, line));
-                } else {
-                    return Err(ParseError {
-                        line,
-                        message: "expected `!=`".into(),
-                    });
+            b'!' => return Err(err(line, "expected `!=`".into())),
+            b'0'..=b'9' => {
+                let start = i - 1;
+                let mut n = u64::from(b - b'0');
+                while i < len && bytes[i].is_ascii_digit() {
+                    n = n.wrapping_mul(10).wrapping_add(u64::from(bytes[i] - b'0'));
+                    i += 1;
                 }
-            }
-            c if c.is_ascii_digit() => {
-                let mut n = 0i64;
-                while let Some(&d) = chars.peek() {
-                    if let Some(v) = d.to_digit(10) {
-                        n = n * 10 + v as i64;
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                // Up to 18 digits cannot overflow; longer runs are redone
+                // with checked arithmetic. `-9223372036854775808` is
+                // `i64::MIN`, which the pretty-printer writes, so 2^63 is
+                // allowed right after a `-`.
+                if i - start > 18 {
+                    let max = match out.last() {
+                        Some((Tok::Minus, _)) => 1u64 << 63,
+                        _ => i64::MAX as u64,
+                    };
+                    n = bytes[start..i]
+                        .iter()
+                        .try_fold(0u64, |n, &d| {
+                            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+                        })
+                        .filter(|&n| n <= max)
+                        .ok_or_else(|| {
+                            err(line, "number too large for a 64-bit signed integer".into())
+                        })?;
                 }
-                out.push((Tok::Num(n), line));
+                Tok::Num(n)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let start = i - 1;
+                while i < len && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
                 }
-                out.push((Tok::Ident(s), line));
+                Tok::Ident(&src[start..i])
             }
-            other => {
-                return Err(ParseError {
-                    line,
-                    message: format!("unexpected character `{other}`"),
-                })
+            _ => {
+                // A non-ASCII char (every byte consumed so far was ASCII
+                // or a whole char, so `i - 1` is a char boundary).
+                let c = src[i - 1..].chars().next().unwrap_or_default();
+                if c.is_whitespace() {
+                    i += c.len_utf8() - 1;
+                    continue;
+                }
+                return Err(err(line, format!("unexpected character `{c}`")));
             }
-        }
+        };
+        out.push((tok, line));
     }
     Ok(out)
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, u32)>,
     pos: usize,
 }
 
 /// Parsed method bodies plus the optional `array [n];` declaration.
 type ParsedProgram = (Vec<(String, Vec<Ast>)>, Option<usize>);
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
+    /// The line of the next token, or of the last one at end of input.
     fn line(&self) -> usize {
         self.toks
             .get(self.pos)
             .or_else(|| self.toks.last())
-            .map(|&(_, l)| l)
-            .unwrap_or(1)
+            .map_or(1, |&(_, l)| l as usize)
+    }
+
+    /// The line of the token just consumed.
+    fn prev_line(&self) -> usize {
+        self.toks[self.pos - 1].1 as usize
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -244,44 +237,45 @@ impl Parser {
         }
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
+    /// The error for finding `found` (`None`: end of input) where `want`
+    /// belongs.
+    #[cold]
+    fn mismatch(&self, want: &dyn std::fmt::Display, found: Option<Tok<'_>>) -> ParseError {
+        match found {
+            Some(t) => ParseError {
+                line: self.prev_line(),
+                message: format!("expected {want}, found {t}"),
+            },
+            None => self.err(format!("expected {want}, found end of input")),
+        }
+    }
+
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
         match self.next() {
             Some(t) if t == want => Ok(()),
-            Some(t) => Err(ParseError {
-                line: self.toks[self.pos - 1].1,
-                message: format!("expected {want}, found {t}"),
-            }),
-            None => Err(self.err(format!("expected {want}, found end of input"))),
+            found => Err(self.mismatch(&want, found)),
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
-            Some(t) => Err(ParseError {
-                line: self.toks[self.pos - 1].1,
-                message: format!("expected identifier, found {t}"),
-            }),
-            None => Err(self.err("expected identifier, found end of input")),
+            found => Err(self.mismatch(&"identifier", found)),
         }
     }
 
-    fn expect_num(&mut self) -> Result<i64, ParseError> {
+    fn expect_num(&mut self) -> Result<u64, ParseError> {
         match self.next() {
             Some(Tok::Num(n)) => Ok(n),
-            Some(t) => Err(ParseError {
-                line: self.toks[self.pos - 1].1,
-                message: format!("expected number, found {t}"),
-            }),
-            None => Err(self.err("expected number, found end of input")),
+            found => Err(self.mismatch(&"number", found)),
         }
     }
 
@@ -297,32 +291,27 @@ impl Parser {
     fn program(&mut self) -> Result<ParsedProgram, ParseError> {
         let mut methods = Vec::new();
         let mut declared = None;
-        while self.peek().is_some() {
-            if let (Some(Tok::Ident(kw)), Some((Tok::LBrack, _))) =
-                (self.peek(), self.toks.get(self.pos + 1))
+        while let Some(t) = self.peek() {
+            if t == Tok::Ident("array")
+                && matches!(self.toks.get(self.pos + 1), Some((Tok::LBrack, _)))
             {
-                if kw == "array" {
-                    if declared.is_some() {
-                        return Err(self.err("duplicate `array[N];` declaration"));
-                    }
-                    declared = Some(self.array_decl()?);
-                    continue;
+                if declared.is_some() {
+                    return Err(self.err("duplicate `array[N];` declaration"));
                 }
+                declared = Some(self.array_decl()?);
+                continue;
             }
-            match self.next() {
-                Some(Tok::Ident(kw)) if kw == "def" => {}
-                _ => {
-                    return Err(ParseError {
-                        line: self.toks[self.pos.saturating_sub(1)].1,
-                        message: "expected `def`".into(),
-                    })
-                }
+            if self.next() != Some(Tok::Ident("def")) {
+                return Err(ParseError {
+                    line: self.prev_line(),
+                    message: "expected `def`".into(),
+                });
             }
             let name = self.expect_ident()?;
             self.expect(Tok::LParen)?;
             self.expect(Tok::RParen)?;
             let body = self.block()?;
-            methods.push((name, body));
+            methods.push((name.to_string(), body));
         }
         Ok((methods, declared))
     }
@@ -330,13 +319,14 @@ impl Parser {
     fn block(&mut self) -> Result<Vec<Ast>, ParseError> {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
-            if self.peek().is_none() {
-                return Err(self.err("unterminated block: expected `}`"));
+        loop {
+            match self.peek() {
+                Some(Tok::RBrace) => break,
+                Some(_) => stmts.push(self.stmt()?),
+                None => return Err(self.err("unterminated block: expected `}`")),
             }
-            stmts.push(self.stmt()?);
         }
-        self.expect(Tok::RBrace)?;
+        self.pos += 1; // `}`
         Ok(stmts)
     }
 
@@ -344,25 +334,20 @@ impl Parser {
     fn array_index(&mut self) -> Result<usize, ParseError> {
         self.expect(Tok::LBrack)?;
         let d = self.expect_num()?;
-        if d < 0 {
-            return Err(self.err("array index must be a natural number"));
-        }
         self.expect(Tok::RBrack)?;
+        // Lossless: the lexer caps magnitudes at 2^63.
         Ok(d as usize)
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
         match self.next() {
-            Some(Tok::Minus) => {
-                let c = self.expect_num()?;
-                Ok(Expr::Const(-c))
-            }
-            Some(Tok::Num(c)) => Ok(Expr::Const(c)),
-            Some(Tok::Ident(a)) if a == "a" => {
+            // The magnitude is at most 2^63, whose negation is `i64::MIN`.
+            Some(Tok::Minus) => Ok(Expr::Const((self.expect_num()? as i64).wrapping_neg())),
+            Some(Tok::Num(c)) => Ok(Expr::Const(c as i64)),
+            Some(Tok::Ident("a")) => {
                 let d = self.array_index()?;
                 self.expect(Tok::Plus)?;
-                let one = self.expect_num()?;
-                if one != 1 {
+                if self.expect_num()? != 1 {
                     return Err(self.err("only `a[d] + 1` is allowed"));
                 }
                 Ok(Expr::Plus1(d))
@@ -378,7 +363,7 @@ impl Parser {
         // Optional label prefix: `ident :`.
         let mut label = None;
         if let (Some(Tok::Ident(name)), Some((Tok::Colon, _))) =
-            (self.peek().cloned(), self.toks.get(self.pos + 1).cloned())
+            (self.peek(), self.toks.get(self.pos + 1))
         {
             if name != "a" {
                 label = Some(name);
@@ -394,28 +379,26 @@ impl Parser {
 
     fn instr(&mut self) -> Result<Ast, ParseError> {
         match self.next() {
-            Some(Tok::Ident(kw)) if kw == "skip" => {
+            Some(Tok::Ident("skip")) => {
                 self.expect(Tok::Semi)?;
                 Ok(skip())
             }
-            Some(Tok::Ident(kw)) if kw == "async" => Ok(async_(self.block()?)),
-            Some(Tok::Ident(kw)) if kw == "finish" => Ok(finish(self.block()?)),
-            Some(Tok::Ident(kw)) if kw == "while" => {
+            Some(Tok::Ident("async")) => Ok(async_(self.block()?)),
+            Some(Tok::Ident("finish")) => Ok(finish(self.block()?)),
+            Some(Tok::Ident("while")) => {
                 self.expect(Tok::LParen)?;
-                match self.next() {
-                    Some(Tok::Ident(a)) if a == "a" => {}
-                    _ => return Err(self.err("while guard must be `a[d] != 0`")),
+                if self.next() != Some(Tok::Ident("a")) {
+                    return Err(self.err("while guard must be `a[d] != 0`"));
                 }
                 let d = self.array_index()?;
                 self.expect(Tok::Neq)?;
-                let zero = self.expect_num()?;
-                if zero != 0 {
+                if self.expect_num()? != 0 {
                     return Err(self.err("while guard must compare against 0"));
                 }
                 self.expect(Tok::RParen)?;
                 Ok(while_(d, self.block()?))
             }
-            Some(Tok::Ident(a)) if a == "a" => {
+            Some(Tok::Ident("a")) => {
                 let idx = self.array_index()?;
                 self.expect(Tok::Eq)?;
                 let e = self.expr()?;
@@ -424,8 +407,8 @@ impl Parser {
             }
             Some(Tok::Ident(name)) => {
                 // `name();` is a call, bare `name;` is a named skip.
-                if self.peek() == Some(&Tok::LParen) {
-                    self.next();
+                if self.peek() == Some(Tok::LParen) {
+                    self.pos += 1;
                     self.expect(Tok::RParen)?;
                     self.expect(Tok::Semi)?;
                     Ok(call(name))
@@ -434,11 +417,7 @@ impl Parser {
                     Ok(skip().label(name))
                 }
             }
-            Some(t) => Err(ParseError {
-                line: self.toks[self.pos - 1].1,
-                message: format!("expected an instruction, found {t}"),
-            }),
-            None => Err(self.err("expected an instruction, found end of input")),
+            found => Err(self.mismatch(&"an instruction", found)),
         }
     }
 }

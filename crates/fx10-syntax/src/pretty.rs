@@ -2,7 +2,8 @@
 //!
 //! The printer round-trips with the parser up to label names: user-supplied
 //! names are preserved via `name:` prefixes (and `name;` shorthand for
-//! named skips); auto-assigned labels are not printed.
+//! named skips whose name is not a keyword); auto-assigned labels are not
+//! printed.
 
 use crate::ast::{Expr, Instr, InstrKind, Program, Stmt};
 use std::fmt::Write;
@@ -45,7 +46,8 @@ fn instr(p: &Program, i: &Instr, depth: usize, out: &mut String) {
     indent(depth, out);
     let name = p.labels().name(i.label);
     match (&i.kind, name) {
-        (InstrKind::Skip, Some(n)) => {
+        // `n;` would read back as an instruction when `n` is a keyword.
+        (InstrKind::Skip, Some(n)) if !matches!(n, "skip" | "async" | "finish" | "while") => {
             let _ = writeln!(out, "{n};");
             return;
         }
